@@ -93,7 +93,7 @@ func traceStream() []telemetry.Span {
 		sys, cfg.Opt, *queues, res.ThroughputMbps, *duration)
 
 	// Per-track activity, in first-appearance order (the recorder's track
-	// order: CPU lanes, then wire lanes).
+	// order: CPU tracks, then wire tracks).
 	type trackSum struct {
 		name   string
 		spans  int

@@ -52,36 +52,6 @@ type Stats struct {
 	TimeWaitEvicted      uint64
 }
 
-// add accumulates o into s (merging per-CPU counter shards).
-func (s *Stats) add(o Stats) {
-	s.HostPacketsIn += o.HostPacketsIn
-	s.NetPacketsIn += o.NetPacketsIn
-	s.NoSocket += o.NoSocket
-	s.BadChecksum += o.BadChecksum
-	s.Malformed += o.Malformed
-	s.HostPacketsOut += o.HostPacketsOut
-	s.SoftCsumVerify += o.SoftCsumVerify
-	s.TimeWaitEntered += o.TimeWaitEntered
-	s.TimeWaitReaped += o.TimeWaitReaped
-	s.TimeWaitReused += o.TimeWaitReused
-	s.TimeWaitReuseRefused += o.TimeWaitReuseRefused
-	s.TimeWaitEvicted += o.TimeWaitEvicted
-}
-
-// laneCtx is one softirq CPU's private stack context under the parallel
-// scheduler: the lane's cycle meter and SKB allocator, its shard of the
-// stack counters, and reusable per-delivery scratch buffers. Everything a
-// receive delivery mutates resolves through one of these, so concurrent
-// CPU lanes never write shared stack state; Stats() sums the shards.
-type laneCtx struct {
-	meter *cycles.Meter
-	alloc *buf.Allocator
-	stats Stats
-
-	payloads [][]byte
-	fragAcks []uint32
-}
-
 // EndpointSlabBytes models the slab footprint of one registered endpoint:
 // a Linux tcp_sock plus its socket, dst and hash-link overhead lands in
 // the ~2 KB slab class. It sizes the machine-wide memory budget
@@ -128,10 +98,6 @@ type Stack struct {
 	// consumes, cpu the softirq CPU that delivered (-1 = unattributed).
 	OnSockRead func(key FlowKey, hash uint32, appCPU, cpu int)
 
-	// TxOn, when set (parallel scheduler), holds one transmitter per
-	// softirq CPU; OutputOn(cpu) routes through TxOn[cpu] so concurrent
-	// lanes never share a transmit driver.
-	TxOn []Transmitter
 	// StampClock, when set, supplies the simulated-ns time (as seen by the
 	// delivering softirq CPU) used to stamp each host packet's stack-entry
 	// boundary (internal/telemetry). Read-only: no charge, no scheduling.
@@ -140,10 +106,9 @@ type Stack struct {
 	table *FlowTable
 	tw    *timeWaitTable
 	stats Stats
-	lanes []laneCtx
 
-	// scratch buffers for the serial input path (the per-CPU equivalents
-	// live in laneCtx).
+	// payloadScratch/ackScratch are reused by every delivery (see
+	// inputFrom).
 	payloadScratch [][]byte
 	ackScratch     []uint32
 
@@ -194,32 +159,8 @@ func NewShardedLayout(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, sha
 	return &Stack{meter: m, params: p, alloc: alloc, table: t, tw: newTimeWaitTable(t.Shards())}, nil
 }
 
-// Stats returns a copy of the stack counters: the base counts plus the
-// per-CPU lane shards (uint64 sums, identical to the serial totals).
-func (s *Stack) Stats() Stats {
-	out := s.stats
-	for i := range s.lanes {
-		out.add(s.lanes[i].stats)
-	}
-	return out
-}
-
-// SetLanes arms the per-CPU stack contexts for the parallel scheduler:
-// deliveries attributed to CPU i (InputOn(i)) charge meters[i], allocate
-// from allocs[i] and count into lane i's stats shard, and the flow table's
-// lookup-path pricing is redirected likewise. Serial runs never call this
-// and keep the single shared context.
-func (s *Stack) SetLanes(meters []*cycles.Meter, allocs []*buf.Allocator) {
-	if len(meters) != len(allocs) {
-		panic("netstack: SetLanes meter/alloc length mismatch")
-	}
-	s.lanes = make([]laneCtx, len(meters))
-	for i := range s.lanes {
-		s.lanes[i].meter = meters[i]
-		s.lanes[i].alloc = allocs[i]
-	}
-	s.table.SetLanePricing(meters)
-}
+// Stats returns a copy of the stack counters.
+func (s *Stack) Stats() Stats { return s.stats }
 
 // noteMem updates the memory-budget high-water mark; called wherever the
 // footprint can grow (registration, TIME_WAIT entry).
@@ -288,44 +229,34 @@ func (s *Stack) Endpoints() int { return s.table.Len() }
 func (s *Stack) Input(skb *buf.SKB) { s.inputFrom(-1, skb) }
 
 func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
-	// Resolve the delivery context: the shared stack state serially, the
-	// delivering CPU's private lane under the parallel scheduler.
-	meter, alloc, st := s.meter, s.alloc, &s.stats
-	payloadScratch, ackScratch := &s.payloadScratch, &s.ackScratch
-	if cpu >= 0 && cpu < len(s.lanes) {
-		ln := &s.lanes[cpu]
-		meter, alloc, st = ln.meter, ln.alloc, &ln.stats
-		payloadScratch, ackScratch = &ln.payloads, &ln.fragAcks
-	}
-
 	if s.StampClock != nil {
 		skb.StackInNs = s.StampClock(cpu)
 	}
-	st.HostPacketsIn++
-	st.NetPacketsIn += uint64(skb.NetPackets)
+	s.stats.HostPacketsIn++
+	s.stats.NetPacketsIn += uint64(skb.NetPackets)
 
 	// Non-protocol per-host-packet work: softirq handoff, netfilter
 	// hooks, socket wakeup accounting (§2.2), plus SMP locking.
-	meter.Charge(cycles.NonProto,
+	s.meter.Charge(cycles.NonProto,
 		s.params.SoftirqPerPacket+s.params.NetfilterPerPacket+s.params.NonProtoOther+
 			s.params.LockCost(s.params.NonProtoLockOps)+s.ExtraRxPerPacket)
 	// IP receive processing.
-	meter.Charge(cycles.Rx, s.params.IPRxFixed)
+	s.meter.Charge(cycles.Rx, s.params.IPRxFixed)
 
 	l3 := skb.L3()
 	// Header-only parse: an aggregate's rewritten total length covers
 	// payload chained in fragments beyond the linear buffer.
 	ih, err := ipv4.ParseHeaderOnly(l3)
 	if err != nil || ih.Proto != ipv4.ProtoTCP {
-		st.Malformed++
-		alloc.Free(skb)
+		s.stats.Malformed++
+		s.alloc.Free(skb)
 		return
 	}
 	segEnd := ih.TotalLen
 	if segEnd > len(l3) {
 		if !skb.Aggregated {
-			st.Malformed++
-			alloc.Free(skb)
+			s.stats.Malformed++
+			s.alloc.Free(skb)
 			return
 		}
 		segEnd = len(l3)
@@ -333,8 +264,8 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	seg := l3[ih.IHL:segEnd]
 	th, err := tcpwire.Parse(seg)
 	if err != nil {
-		st.Malformed++
-		alloc.Free(skb)
+		s.stats.Malformed++
+		s.alloc.Free(skb)
 		return
 	}
 
@@ -342,11 +273,11 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	// did not already verify. This is the per-byte cost path the paper
 	// assumes away via receive checksum offload (§3.1).
 	if !skb.CsumVerified {
-		st.SoftCsumVerify++
-		meter.Charge(cycles.PerByte, s.params.Mem.ChecksumCost(ih.TotalLen-ih.IHL))
+		s.stats.SoftCsumVerify++
+		s.meter.Charge(cycles.PerByte, s.params.Mem.ChecksumCost(ih.TotalLen-ih.IHL))
 		if !tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst) {
-			st.BadChecksum++
-			alloc.Free(skb)
+			s.stats.BadChecksum++
+			s.alloc.Free(skb)
 			return
 		}
 	}
@@ -354,8 +285,8 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	key := FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
 	ep := s.table.LookupOn(cpu, key, skb.RSSHash, skb.NetPackets, skb.Aggregated)
 	if ep == nil {
-		st.NoSocket++
-		alloc.Free(skb)
+		s.stats.NoSocket++
+		s.alloc.Free(skb)
 		return
 	}
 
@@ -374,21 +305,21 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	// Input (the OOO queue copies what it keeps), so the hot path does not
 	// allocate them per delivery.
 	headPayload := seg[th.DataOff:]
-	payloads := (*payloadScratch)[:0]
+	payloads := s.payloadScratch[:0]
 	if len(headPayload) > 0 {
 		payloads = append(payloads, headPayload)
 	}
 	for i := range skb.Frags {
 		payloads = append(payloads, skb.Frags[i].Data)
 	}
-	*payloadScratch = payloads
+	s.payloadScratch = payloads
 	var fragAcks []uint32
 	if skb.Aggregated {
-		fragAcks = skb.AppendFragAcks((*ackScratch)[:0])
+		fragAcks = skb.AppendFragAcks(s.ackScratch[:0])
 	} else {
-		fragAcks = append((*ackScratch)[:0], th.Ack)
+		fragAcks = append(s.ackScratch[:0], th.Ack)
 	}
-	*ackScratch = fragAcks
+	s.ackScratch = fragAcks
 	ep.Input(tcp.Segment{
 		Hdr:        th,
 		Payloads:   payloads,
@@ -409,17 +340,4 @@ func (s *Stack) Output(skb *buf.SKB) {
 		panic("netstack: Tx not wired")
 	}
 	s.Tx.Transmit(skb)
-}
-
-// OutputOn returns an Output equivalent bound to softirq CPU cpu: charges
-// land on the lane's meter and stats shard and the packet leaves through
-// TxOn[cpu]. The parallel scheduler rebinds registered endpoints to it so
-// transmit-side effects stay on the lane that generated them.
-func (s *Stack) OutputOn(cpu int) func(*buf.SKB) {
-	return func(skb *buf.SKB) {
-		ln := &s.lanes[cpu]
-		ln.stats.HostPacketsOut++
-		ln.meter.Charge(cycles.Tx, s.params.IPTxFixed+s.params.TxQueueFixed)
-		s.TxOn[cpu].Transmit(skb)
-	}
 }

@@ -12,23 +12,13 @@ import (
 )
 
 // Sim is a virtual clock with an event queue. Nanosecond resolution.
-//
-// The parallel scheduler (parsched.go) runs several Sim instances — one
-// per event lane — and merges them on (at, schedAt, seq). schedAt is the
-// virtual time Schedule was called at; because events execute in
-// non-decreasing virtual time, seq order refines schedAt order, so adding
-// schedAt ahead of seq in the heap comparison never changes the serial
-// schedule while giving lanes a cross-heap merge key that reproduces it.
+// Events run in (at, seq) order: seq is a FIFO tie-break among events due
+// at the same instant, so one run's schedule is a pure function of its
+// configuration.
 type Sim struct {
 	now    uint64
 	seq    uint64
 	events eventHeap
-
-	// curSchedAt/curSeq identify the event currently executing; lanes
-	// use them to stamp recorded cross-lane effects (ring pushes, reverse
-	// transmissions) with the serial-order key of their generating event.
-	curSchedAt uint64
-	curSeq     uint64
 }
 
 // NewSim returns a simulation at time zero.
@@ -51,70 +41,7 @@ func (s *Sim) Schedule(at uint64, fn func()) {
 		at = s.now
 	}
 	s.seq++
-	s.events.push(event{at: at, schedAt: s.now, seq: s.seq, fn: fn})
-}
-
-// ScheduleKeyed inserts fn with an explicit (schedAt, seq) ordering key
-// instead of stamping the current time and next sequence number. The
-// parallel scheduler uses it to commit cross-lane effects and to requeue
-// a stalled event without disturbing its original position in the
-// canonical serial order.
-func (s *Sim) ScheduleKeyed(at, schedAt, seq uint64, fn func()) {
-	if fn == nil {
-		panic("sim: nil event")
-	}
-	s.events.push(event{at: at, schedAt: schedAt, seq: seq, fn: fn})
-}
-
-// CurKey returns the ordering key (schedAt, seq) of the event currently
-// executing (valid only inside an event callback).
-func (s *Sim) CurKey() (schedAt, seq uint64) { return s.curSchedAt, s.curSeq }
-
-// NextAt returns the timestamp of the earliest pending event, or ok=false
-// when the queue is empty.
-func (s *Sim) NextAt() (at uint64, ok bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
-// PeekKey returns the cross-lane merge key (at, schedAt) of the earliest
-// pending event without removing it.
-func (s *Sim) PeekKey() (at, schedAt uint64, ok bool) {
-	if len(s.events) == 0 {
-		return 0, 0, false
-	}
-	return s.events[0].at, s.events[0].schedAt, true
-}
-
-// SetNow advances the clock without running events (parallel-scheduler
-// barrier use only). Panics if that would run past a pending event.
-func (s *Sim) SetNow(t uint64) {
-	if t < s.now {
-		return
-	}
-	if at, ok := s.NextAt(); ok && at < t {
-		panic("sim: SetNow past pending event")
-	}
-	s.now = t
-}
-
-// PopNext removes and returns the earliest pending event (parallel
-// scheduler merged-window use). ok=false when empty.
-func (s *Sim) PopNext() (ev event, ok bool) {
-	if len(s.events) == 0 {
-		return event{}, false
-	}
-	return s.events.pop(), true
-}
-
-// RunEvent advances the clock to ev.at and executes it, restoring the
-// caller's current-key bookkeeping afterwards.
-func (s *Sim) RunEvent(ev event) {
-	s.now = ev.at
-	s.curSchedAt, s.curSeq = ev.schedAt, ev.seq
-	ev.fn()
+	s.events.push(event{at: at, seq: s.seq, fn: fn})
 }
 
 // After runs fn at now+delay.
@@ -133,7 +60,6 @@ func (s *Sim) RunUntil(deadline uint64) int {
 		}
 		s.events.pop()
 		s.now = ev.at
-		s.curSchedAt, s.curSeq = ev.schedAt, ev.seq
 		ev.fn()
 		n++
 	}
@@ -147,10 +73,9 @@ func (s *Sim) RunUntil(deadline uint64) int {
 func (s *Sim) Pending() int { return len(s.events) }
 
 type event struct {
-	at      uint64
-	schedAt uint64 // virtual time the event was scheduled at
-	seq     uint64 // tie-break: FIFO among simultaneous events
-	fn      func()
+	at  uint64
+	seq uint64 // tie-break: FIFO among simultaneous events
+	fn  func()
 }
 
 // eventHeap is a hand-rolled binary min-heap. container/heap would box
@@ -162,12 +87,6 @@ type eventHeap []event
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	// Serially seq alone suffices: Schedule is called in execution order,
-	// so seq refines schedAt and inserting schedAt first is a no-op. It
-	// matters only when lanes merge keyed events from different heaps.
-	if h[i].schedAt != h[j].schedAt {
-		return h[i].schedAt < h[j].schedAt
 	}
 	return h[i].seq < h[j].seq
 }

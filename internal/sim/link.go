@@ -42,10 +42,9 @@ type Link struct {
 
 	// LossOneIn, when positive, drops each forward frame with
 	// probability 1/N — the uniform arm of the loss injector. The
-	// decision is a seeded hash of the per-link loss counter, so it is
-	// identical in serial and parallel scheduling (the counter advances
-	// in the link lane's deterministic delivery order) and independent
-	// of everything else in the run.
+	// decision is a seeded hash of the per-link loss counter, so it
+	// depends only on the link's deterministic delivery order and is
+	// independent of everything else in the run.
 	LossOneIn int
 	// BurstLossRate, when positive, switches the injector to the
 	// two-state Gilbert-Elliott burst model with this target loss
@@ -72,16 +71,6 @@ type Link struct {
 	// the adjacent swap).
 	ReorderDistance int
 
-	// onStall, when set (parallel scheduler), is consulted before the
-	// ring-occupancy pause check. During a parallel link phase the exact
-	// check is unavailable — the owning CPU lane may still drain the ring
-	// inside the window — so the hook tests the conservative shadow bound
-	// and, on pressure, returns true: transmitNext requeues itself at its
-	// original ordering key and the lane halts, deferring the decision to
-	// the epoch barrier where the hook returns false and the exact check
-	// below runs with fully merged ring state.
-	onStall func() bool
-
 	busy     bool
 	inFlight int
 	fwdCount int
@@ -90,10 +79,6 @@ type Link struct {
 	// wireFreeFn is the pre-bound "serialization finished" event (one
 	// closure for the link's lifetime instead of one per frame).
 	wireFreeFn func()
-	// transmitFn is the pre-bound transmitNext method value: the stall
-	// requeue path runs once per deferred ring-headroom check and a fresh
-	// method-value binding each time was a measurable allocation source.
-	transmitFn func()
 
 	// Reorder-injector state: the withheld frame (with its transmit-start
 	// stamp) and how many deliveries remain before it is released.
@@ -156,7 +141,6 @@ func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 		l.busy = false
 		l.transmitNext()
 	}
-	l.transmitFn = l.transmitNext
 	return l
 }
 
@@ -181,14 +165,6 @@ func (l *Link) wireTimeNs(frameLen int) uint64 {
 // transmitNext pulls one frame if the wire is free and the ring has room.
 func (l *Link) transmitNext() {
 	if l.busy {
-		return
-	}
-	if l.onStall != nil && l.onStall() {
-		// Parallel phase: ring pressure cannot be decided on this lane.
-		// Re-enter at the same key so the deferred attempt holds exactly
-		// this event's position in the canonical serial order.
-		schedAt, seq := l.sim.CurKey()
-		l.sim.ScheduleKeyed(l.sim.Now(), schedAt, seq, l.transmitFn)
 		return
 	}
 	if l.dst.RxNearFull(l.RingHeadroom) {
@@ -255,8 +231,7 @@ func (l *Link) lossEnabled() bool { return l.LossOneIn > 0 || l.BurstLossRate > 
 
 // dropLost decides the fate of one delivered forward frame. Both arms
 // draw from splitmix64 over (LossSeed, lossCount): the decision depends
-// only on the frame's position in this link's delivery order, which the
-// parallel scheduler reproduces bit-exactly.
+// only on the frame's position in this link's delivery order.
 func (l *Link) dropLost() bool {
 	if !l.lossEnabled() {
 		return false
@@ -362,20 +337,6 @@ func (l *Link) DeliverReverse(frame []byte) { l.DeliverReverseDelayed(frame, 0) 
 func (l *Link) DeliverReverseDelayed(frame []byte, extraNs uint64) {
 	l.stats.ReverseFrames++
 	l.sim.After(extraNs+l.DelayNs, func() {
-		l.sender.ReceiveFrame(frame)
-	})
-}
-
-// DeliverReverseAt is DeliverReverseDelayed for callers whose notion of
-// "now" is not this link's lane clock: the parallel scheduler's mailbox
-// commit and epoch barrier, where the transmit happened at virtual time
-// `at` on a CPU lane that may be ahead of or behind this link's lane. The
-// frame reaches the sender at at+extraNs+DelayNs, keyed exactly as the
-// serial schedule would have keyed it (schedAt = the transmit instant).
-func (l *Link) DeliverReverseAt(frame []byte, at, extraNs uint64) {
-	l.stats.ReverseFrames++
-	l.sim.seq++
-	l.sim.ScheduleKeyed(at+extraNs+l.DelayNs, at, l.sim.seq, func() {
 		l.sender.ReceiveFrame(frame)
 	})
 }

@@ -30,12 +30,10 @@ import (
 // rpcConn is one fan-in connection of the incast workload.
 type rpcConn struct {
 	rep   *tcp.Endpoint // receiver-side endpoint (issues the requests)
-	owner int           // CPU lane owning the flow (= its RSS queue)
+	owner int           // CPU owning the flow (= its RSS queue)
 
-	// reqSentNs is the burst instant (written by the global burst event,
-	// which runs at a scheduler barrier; read from the owner lane's
-	// context). got/done accumulate the response strictly on the owner
-	// lane; the global poll reads done only at the next barrier.
+	// reqSentNs is the burst instant; got/done accumulate the response as
+	// the owner CPU delivers it, and the completion poll reads done.
 	reqSentNs uint64
 	got       uint64
 	done      bool
@@ -133,7 +131,7 @@ func (r *rpcDriver) openConn(c int) error {
 		}
 	}
 
-	// Receiver application: accumulate the response on the owner lane; the
+	// Receiver application: accumulate the response on the owner CPU; the
 	// byte that completes the message defines its RTT. stampNowOn is the
 	// same clock the stage stamps use, so the sample lands at the instant
 	// the socket read returns in simulated time.
@@ -158,11 +156,9 @@ func (r *rpcDriver) openConn(c int) error {
 	return nil
 }
 
-// fireBurst issues one request on every connection at the current global
-// instant. It runs in global-event context (construction time or the
-// completion poll), which the parallel scheduler executes at a barrier —
-// so the synchronized burst is race-free and identically timed on both
-// schedulers.
+// fireBurst issues one request on every connection at the current
+// instant. It runs outside any softirq round (construction time or the
+// completion poll), so every request of a burst carries the same stamp.
 func (r *rpcDriver) fireBurst() {
 	now := r.top.sim.Now()
 	for _, c := range r.conns {

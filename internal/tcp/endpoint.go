@@ -149,18 +149,6 @@ type oooSegment struct {
 	data []byte
 }
 
-// Rebind repoints the endpoint's charging and allocation context: the
-// parallel scheduler moves each registered endpoint onto the meter,
-// allocator and clock of the CPU lane that owns its flow, so its receive
-// processing runs without touching another lane's state. The costs charged
-// are unchanged — only which shard accumulates them.
-func (e *Endpoint) Rebind(m *cycles.Meter, alloc *buf.Allocator, clock Clock) {
-	if m == nil || alloc == nil || clock == nil {
-		panic("tcp: Rebind nil dependency")
-	}
-	e.meter, e.alloc, e.clock = m, alloc, clock
-}
-
 type sentSegment struct {
 	seq    uint32
 	length int
@@ -254,7 +242,7 @@ type Endpoint struct {
 
 	// latRec/latClock, when wired (SetLatencyRecorder), record each
 	// data-carrying host packet's stage stamps at app-delivery time into
-	// the owning lane's telemetry shard. latClock is the stamp clock of
+	// the owning CPU's telemetry shard. latClock is the stamp clock of
 	// the softirq CPU that owns this flow — deliberately separate from
 	// e.clock, whose value feeds TCP timestamps and timers and must not
 	// change when telemetry is enabled.
@@ -348,8 +336,8 @@ func (e *Endpoint) AppCPU() int { return e.appCPU }
 // data-carrying host packet delivered to this endpoint records its stamp
 // chain (wire → ring → softirq → aggregation → stack → socket read) into
 // rec, reading the app-read boundary from clock. Recording is observation
-// only — it charges no cycles and schedules nothing — and rec is a
-// per-lane shard, so concurrent CPU lanes never share one.
+// only — it charges no cycles and schedules nothing — and rec is the
+// shard of the CPU that owns the flow.
 func (e *Endpoint) SetLatencyRecorder(rec *telemetry.StageSet, clock Clock) {
 	e.latRec = rec
 	e.latClock = clock

@@ -11,11 +11,11 @@
 // goldens of every prior PR hold bit for bit either way (pinned by
 // TestTelemetryOffOnEquivalence).
 //
-// Under the parallel scheduler every recording site writes into the shard
-// owned by the lane it runs on, and shards are merged only after the run (or
-// at a barrier) — histogram merging is a commutative uint64 sum and the span
-// merge is a canonical sort, so serial and parallel runs produce identical
-// reports.
+// Every recording site writes into the shard of the CPU (or link) it
+// attributes to, and shards are merged only after the run — histogram
+// merging is a commutative uint64 sum and the span merge is a canonical
+// sort, so the per-CPU split costs nothing in determinism while keeping
+// every sample attributable.
 package telemetry
 
 import "math/bits"

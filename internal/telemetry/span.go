@@ -15,13 +15,11 @@ type Span struct {
 	DurNs uint64 `json:"dur_ns"`
 }
 
-// SpanRecorder captures activity intervals into per-lane shards. Each
-// recording site holds its lane's *SpanLane and appends with no
-// synchronization; under the parallel scheduler a lane's spans are
-// appended in that lane's deterministic event order — the same
-// subsequence the serial run appends — so Drain's canonical merge is
-// bit-identical serial vs parallel. Recording allocates only Go slice
-// growth: no simulated cost, no events.
+// SpanRecorder captures activity intervals into per-lane shards, one per
+// CPU or link track. Each recording site holds its lane's *SpanLane and
+// appends in the run's deterministic event order; Drain's canonical merge
+// fixes the export order independently of how spans were sharded.
+// Recording allocates only Go slice growth: no simulated cost, no events.
 type SpanRecorder struct {
 	lanes   []SpanLane
 	enabled bool
@@ -66,8 +64,7 @@ func (l *SpanLane) Record(track, name string, startNs, durNs uint64) {
 	l.spans = append(l.spans, Span{Track: track, Name: name, StartNs: startNs, DurNs: durNs})
 }
 
-// Reset clears every shard (measurement-interval boundary; call only from
-// barrier/serial context).
+// Reset clears every shard (measurement-interval boundary).
 func (r *SpanRecorder) Reset() {
 	if r == nil {
 		return
@@ -78,10 +75,8 @@ func (r *SpanRecorder) Reset() {
 }
 
 // Drain returns the canonically merged span stream: shards concatenated
-// in lane order, then stable-sorted by (StartNs, Track, Name, DurNs).
-// Each lane's shard is identical serial vs parallel, so the merged
-// stream is too — this is the deterministic epoch-merge contract of the
-// trace exporter.
+// in lane order, then stable-sorted by (StartNs, Track, Name, DurNs) —
+// the trace exporter's deterministic output order.
 func (r *SpanRecorder) Drain() []Span {
 	if r == nil {
 		return nil

@@ -49,8 +49,8 @@ func (s Stage) String() string {
 
 // StageSet is one lane's (CPU's) recording shard: per-stage residency
 // histograms, the end-to-end per-message histogram, and the RPC
-// round-trip histogram. Each shard is written only by its owning lane;
-// merging happens at report time.
+// round-trip histogram. Each shard collects the samples attributed to its
+// CPU; merging happens at report time.
 type StageSet struct {
 	stage    [NumStages]Histogram
 	e2e      Histogram
@@ -108,10 +108,9 @@ func (s *StageSet) Reset() {
 	s.recovery.Reset()
 }
 
-// Collector owns the per-lane recording shards of one machine. Lane i is
-// written only by softirq CPU i's execution context (the lane goroutine
-// under the parallel scheduler, the same call sites serially), so
-// recording needs no synchronization; Report merges the shards with the
+// Collector owns the per-lane recording shards of one machine. Lane i
+// holds the samples of softirq CPU i (callers may add lanes past the CPUs,
+// e.g. one per sender link); Report merges the shards with the
 // commutative histogram sum.
 type Collector struct {
 	lanes []*StageSet
@@ -130,7 +129,7 @@ func NewCollector(lanes int) *Collector {
 }
 
 // Lane returns CPU i's recording shard (shard 0 for out-of-range lanes,
-// so unattributed serial deliveries still record).
+// so unattributed deliveries still record).
 func (c *Collector) Lane(i int) *StageSet {
 	if c == nil {
 		return nil
@@ -141,8 +140,7 @@ func (c *Collector) Lane(i int) *StageSet {
 	return c.lanes[i]
 }
 
-// Reset clears every shard (measurement-interval boundary; call only from
-// barrier/serial context).
+// Reset clears every shard (measurement-interval boundary).
 func (c *Collector) Reset() {
 	if c == nil {
 		return
@@ -152,10 +150,8 @@ func (c *Collector) Reset() {
 	}
 }
 
-// merged returns the shard-merged histograms. The merge is a plain sum in
-// lane order; since histogram merging is commutative and each lane's
-// content is deterministic, the result is bit-identical serial vs
-// parallel.
+// merged returns the shard-merged histograms: a plain sum in lane order
+// (histogram merging is commutative, so the order is immaterial).
 func (c *Collector) merged() (stage [NumStages]Histogram, e2e, rtt, recovery Histogram) {
 	for _, l := range c.lanes {
 		for i := range stage {

@@ -48,18 +48,6 @@
 // from a non-zero queue, or asymmetric configurations) stays on the ring
 // until the owning vCPU's next round, woken through the event-channel
 // kick.
-//
-// # Serial scheduling only
-//
-// The intra-run parallel scheduler (sim/parsched.go) does not partition
-// this machine: the dom0 bridge/netback stage is a serialization point
-// every queue's traffic flows through (grant-copy batches, the shared
-// event-channel demultiplexer, cross-channel netback steering of
-// unhashable traffic), so there is no lane decomposition whose cross-lane
-// traffic is bounded by a link delay the way the native machine's is.
-// StreamConfig.ParallelScheduler on a Xen config therefore silently runs
-// the serial path — same results, no error — rather than a lane split
-// that would have to barrier on every grant batch.
 package xenvirt
 
 import (

@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// parDetShapes enumerates one representative config per golden workload
+// goldenShapes enumerates one representative config per golden workload
 // shape grown so far: the single-queue regression lock, RSS multi-queue
 // scaling, flow churn, dynamic steering, the reorder fault injector, the
 // restart storm, connection-scale demux (both flow-table layouts), wire
-// corruption, and the Xen paravirtual path. Steering and Xen exercise the
-// documented serial fallback — ParallelScheduler must be a no-op there,
-// not an error and not a divergence.
-func parDetShapes() map[string]StreamConfig {
+// corruption, loss recovery, the Xen paravirtual path, the RPC incast and
+// a traced 4-queue stream. The names are stable test IDs.
+func goldenShapes() map[string]StreamConfig {
 	shapes := map[string]StreamConfig{}
 
 	for _, sys := range []SystemKind{SystemNativeUP, SystemNativeSMP, SystemXen} {
@@ -99,35 +98,62 @@ func parDetShapes() map[string]StreamConfig {
 	rpc.RPC = RPCConfig{Enabled: true}
 	shapes["rpc/incast-2q"] = rpc
 
+	stream := DefaultStreamConfig(SystemNativeSMP, OptFull)
+	stream.NICs = 4
+	stream.Queues = 4
+	stream.Connections = 32
+	shapes["stream/4q"] = stream
+
 	return shapes
 }
 
-// TestParallelSchedulerDeterminism is the tentpole's contract: for every
-// golden workload shape, ParallelScheduler=true must produce a
-// StreamResult that is field-for-field identical to the serial run — not
-// within tolerance, identical, down to float bit patterns and per-CPU
-// meter splits. Run under -race this also proves the lane partitioning
-// has no hidden shared state.
-func TestParallelSchedulerDeterminism(t *testing.T) {
-	for name, cfg := range parDetShapes() {
+// TestReplayDeterminism is the replay guarantee: a run is a pure function
+// of its StreamConfig. Every golden shape runs twice with latency and span
+// telemetry on and must reproduce its StreamResult and its span stream
+// exactly — not within tolerance, down to float bit patterns and span
+// order. A third run with telemetry off must reproduce every modeled
+// field (zero perturbation: observation never moves an event or a cycle).
+func TestReplayDeterminism(t *testing.T) {
+	for name, cfg := range goldenShapes() {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg.DurationNs = 30_000_000
-			cfg.WarmupNs = 15_000_000
+			cfg.DurationNs = 20_000_000
+			cfg.WarmupNs = 10_000_000
 
-			serial, err := RunStream(cfg)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
+			traced := func() (StreamResult, []Span) {
+				c := cfg
+				var spans []Span
+				c.Telemetry = TelemetryConfig{Latency: true, Spans: true,
+					SpanSink: func(s []Span) { spans = s }}
+				res, err := RunStream(c)
+				if err != nil {
+					t.Fatalf("telemetry on: %v", err)
+				}
+				return res, spans
 			}
-			pcfg := cfg
-			pcfg.ParallelScheduler = true
-			par, err := RunStream(pcfg)
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
+			first, firstSpans := traced()
+			second, secondSpans := traced()
+			if len(firstSpans) == 0 {
+				t.Fatal("traced run emitted no spans")
 			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("serial vs parallel diverge:\n  serial:   %+v\n  parallel: %+v", serial, par)
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("replay diverges:\n  first:  %+v\n  second: %+v", first, second)
+			}
+			if !reflect.DeepEqual(firstSpans, secondSpans) {
+				t.Errorf("span streams diverge: %d vs %d spans", len(firstSpans), len(secondSpans))
+			}
+
+			off, err := RunStream(cfg)
+			if err != nil {
+				t.Fatalf("telemetry off: %v", err)
+			}
+			// The RPC shape forces Latency on even in the "off" run; strip
+			// the report from both sides so the comparison covers every
+			// modeled field.
+			off.Latency, first.Latency = LatencyReport{}, LatencyReport{}
+			if !reflect.DeepEqual(off, first) {
+				t.Errorf("telemetry perturbed the run:\n  off: %+v\n  on:  %+v", off, first)
 			}
 		})
 	}
