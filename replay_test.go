@@ -9,8 +9,8 @@ import (
 // shape grown so far: the single-queue regression lock, RSS multi-queue
 // scaling, flow churn, dynamic steering, the reorder fault injector, the
 // restart storm, connection-scale demux (both flow-table layouts), wire
-// corruption, loss recovery, the Xen paravirtual path, the RPC incast and
-// a traced 4-queue stream. The names are stable test IDs.
+// corruption, loss recovery, the Xen paravirtual path and the RPC incast.
+// The names are stable test IDs.
 func goldenShapes() map[string]StreamConfig {
 	shapes := map[string]StreamConfig{}
 
@@ -98,23 +98,42 @@ func goldenShapes() map[string]StreamConfig {
 	rpc.RPC = RPCConfig{Enabled: true}
 	shapes["rpc/incast-2q"] = rpc
 
+	return shapes
+}
+
+// traceShapes are the span-heavy shapes: a 4-NIC 4-queue bulk stream and
+// the RPC incast, whose request bursts interleave spans across every CPU.
+func traceShapes() map[string]StreamConfig {
 	stream := DefaultStreamConfig(SystemNativeSMP, OptFull)
 	stream.NICs = 4
 	stream.Queues = 4
 	stream.Connections = 32
-	shapes["stream/4q"] = stream
-
-	return shapes
+	return map[string]StreamConfig{
+		"stream/4q":  stream,
+		"rpc/incast": goldenShapes()["rpc/incast-2q"],
+	}
 }
 
 // TestReplayDeterminism is the replay guarantee: a run is a pure function
-// of its StreamConfig. Every golden shape runs twice with latency and span
-// telemetry on and must reproduce its StreamResult and its span stream
-// exactly — not within tolerance, down to float bit patterns and span
-// order. A third run with telemetry off must reproduce every modeled
-// field (zero perturbation: observation never moves an event or a cycle).
+// of its StreamConfig. Every golden shape must replay exactly (see
+// checkReplay).
 func TestReplayDeterminism(t *testing.T) {
-	for name, cfg := range goldenShapes() {
+	checkReplay(t, goldenShapes())
+}
+
+// TestTraceReplayDeterminism holds the trace shapes to the same guarantee,
+// so the exported timelines are reproducible, not just the aggregates.
+func TestTraceReplayDeterminism(t *testing.T) {
+	checkReplay(t, traceShapes())
+}
+
+// checkReplay runs every shape twice with latency and span telemetry on;
+// both runs must reproduce the StreamResult and the span stream exactly —
+// not within tolerance, down to float bit patterns and span order. A third
+// run with telemetry off must reproduce every modeled field (zero
+// perturbation: observation never moves an event or a cycle).
+func checkReplay(t *testing.T, shapes map[string]StreamConfig) {
+	for name, cfg := range shapes {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
