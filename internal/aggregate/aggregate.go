@@ -194,9 +194,14 @@ type heldFrame struct {
 	payloadLen int
 }
 
-// payload returns the held frame's TCP payload bytes.
-func (h heldFrame) payload() []byte {
-	return h.frame.Data[h.payloadOff : h.payloadOff+h.payloadLen]
+// frag returns the held frame as an aggregate fragment: its TCP payload,
+// owned by the frame it arrived in.
+func (h heldFrame) frag() buf.Frag {
+	return buf.Frag{
+		Data:  h.frame.Data[h.payloadOff : h.payloadOff+h.payloadLen],
+		Frame: h.frame.Data,
+		Ack:   h.ack, TSVal: h.tsVal,
+	}
 }
 
 // Engine is the Receive Aggregation engine for one CPU.
@@ -330,7 +335,7 @@ func (e *Engine) Input(f nic.Frame) {
 
 	if p, ok := e.table[key]; ok {
 		if e.matches(p, &th) {
-			e.alloc.AttachFrag(p.skb, buf.Frag{Data: payload, Ack: th.Ack, TSVal: th.TSVal})
+			e.alloc.AttachFrag(p.skb, buf.Frag{Data: payload, Frame: frame, Ack: th.Ack, TSVal: th.TSVal})
 			p.count++
 			p.nextSeq = th.Seq + uint32(payloadLen)
 			p.lastAck = th.Ack
@@ -431,7 +436,7 @@ func (e *Engine) stitchHeld(p *pending) {
 				return
 			}
 			p.held = p.held[1:]
-			e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Ack: hf.ack, TSVal: hf.tsVal})
+			e.alloc.AttachFrag(p.skb, hf.frag())
 			p.count++
 			p.nextSeq = hf.seq + uint32(hf.payloadLen)
 			p.lastAck = hf.ack
@@ -538,7 +543,7 @@ func (e *Engine) matches(p *pending, th *tcpwire.Header) bool {
 // frame. Shared by start and stitchDrainRun so the two construction
 // sites cannot drift when pending grows a field.
 func (e *Engine) newPending(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwire.Header, payloadLen int) *pending {
-	skb := e.alloc.NewData(f.Data, ether.HeaderLen)
+	skb := e.alloc.NewRx(f.Data, ether.HeaderLen)
 	skb.CsumVerified = true
 	skb.RSSHash = f.RSSHash
 	skb.FirstAck = th.Ack
@@ -741,7 +746,7 @@ func (e *Engine) stitchDrainRun(run []heldFrame) {
 	p := e.newPending(key, head.frame, &ih, &th, head.payloadLen)
 	e.stats.WindowTimeout++
 	for _, hf := range run[1:] {
-		e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Ack: hf.ack, TSVal: hf.tsVal})
+		e.alloc.AttachFrag(p.skb, hf.frag())
 		p.count++
 		p.nextSeq = hf.seq + uint32(hf.payloadLen)
 		p.lastAck = hf.ack
@@ -791,7 +796,7 @@ func (e *Engine) rewriteHeader(p *pending) {
 // passthrough wraps an ineligible frame in an SKB and delivers it
 // unmodified (§3.1: no reordering, no modification).
 func (e *Engine) passthrough(f nic.Frame) {
-	skb := e.alloc.NewData(f.Data, ether.HeaderLen)
+	skb := e.alloc.NewRx(f.Data, ether.HeaderLen)
 	skb.CsumVerified = f.RxCsumOK
 	skb.RSSHash = f.RSSHash
 	skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs

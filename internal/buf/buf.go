@@ -33,6 +33,10 @@ const (
 type Frag struct {
 	// Data is the fragment payload.
 	Data []byte
+	// Frame is the received frame Data points into, released to the
+	// allocator's FramePool when the SKB is freed (nil: nothing to
+	// release).
+	Frame []byte
 	// Ack is the TCP acknowledgment number carried by the original
 	// network packet, saved for the TCP layer's §3.4 processing.
 	Ack uint32
@@ -86,6 +90,12 @@ type SKB struct {
 	DequeueNs  uint64
 	AggCloseNs uint64
 	StackInNs  uint64
+
+	// frame is the received frame Head was built on, released to the
+	// allocator's FramePool by Free. Only RX SKBs (NewRx) carry one: a
+	// transmitted SKB's Head is handed to the wire, which still holds it
+	// after the SKB is freed.
+	frame []byte
 
 	alloc *Allocator
 	freed bool
@@ -141,6 +151,11 @@ type Allocator struct {
 	params *cost.Params
 	stats  Stats
 	free   []*SKB
+
+	// Frames, when set, takes back the received frames an RX SKB owns
+	// when it is freed (the run topology's pool; nil leaves them to the
+	// collector).
+	Frames *FramePool
 }
 
 // NewAllocator returns an allocator charging m under p.
@@ -162,6 +177,15 @@ func (a *Allocator) NewData(head []byte, l3Offset int) *SKB {
 	s.Head = head
 	s.L3Offset = l3Offset
 	s.NetPackets = 1
+	return s
+}
+
+// NewRx allocates a data SKB around a received frame, charging SKBAlloc
+// exactly as NewData does. The SKB owns the frame: Free releases it to
+// the allocator's FramePool.
+func (a *Allocator) NewRx(frame []byte, l3Offset int) *SKB {
+	s := a.NewData(frame, l3Offset)
+	s.frame = frame
 	return s
 }
 
@@ -219,10 +243,15 @@ func (a *Allocator) Free(s *SKB) {
 	a.stats.Live--
 	s.freed = true
 	s.Head = nil
+	// The model is done with the received frames: release the head's
+	// and every fragment's owning frame.
+	a.Frames.Put(s.frame)
+	s.frame = nil
 	// Drop the fragment payload references but keep the backing array: an
 	// aggregate SKB's Frags regrow to the same length every cycle, and
 	// reusing the capacity removes the per-aggregate slice allocation.
 	for i := range s.Frags {
+		a.Frames.Put(s.Frags[i].Frame)
 		s.Frags[i] = Frag{}
 	}
 	s.Frags = s.Frags[:0]

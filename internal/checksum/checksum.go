@@ -7,21 +7,58 @@
 // template without touching the rest of the packet (paper §4.2).
 package checksum
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Sum computes the one's-complement sum of b folded to 16 bits, without the
 // final complement. Odd-length buffers are padded with a zero byte, as
 // specified by RFC 1071.
+//
+// The sum is accumulated over 64-bit big-endian words with the carries
+// deferred: each word is added with a plain 64-bit add, the carries out
+// of bit 63 are counted separately, and everything is folded to 16 bits
+// once at the end. This is the RFC 1071 §2 observation that the
+// one's-complement sum may be computed in any word size wider than 16
+// bits (2^16 ≡ 1 mod 0xffff, so every 16-bit lane of a wide word, and
+// every carry out of it, lands on the same residue), and is how Linux's
+// csum_partial sums with add-with-carry over machine words. The result
+// equals the plain 16-bit loop's for every input.
 func Sum(b []byte) uint16 {
-	var sum uint32
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var sum, carries, c uint64
+	for len(b) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), 0)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), c)
+		carries += c
+		b = b[32:]
 	}
-	if len(b)&1 != 0 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[:8]), 0)
+		carries += c
+		b = b[8:]
 	}
-	return fold(sum)
+	// The tail is under 8 bytes: its 16-bit words (the odd byte padded on
+	// the right) fit in a 32-bit sum, which cannot overflow.
+	var tail uint64
+	if len(b) >= 4 {
+		tail += uint64(binary.BigEndian.Uint32(b[:4]))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b[:2]))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
+	}
+	sum, c = bits.Add64(sum, tail, 0)
+	carries += c
+	// 2^32 and 2^64 are both ≡ 1 mod 0xffff: the two halves of the sum and
+	// the deferred carries add up to the same residue, with no overflow.
+	return fold(sum>>32 + sum&0xffffffff + carries)
 }
 
 // Checksum computes the Internet checksum of b: the one's complement of the
@@ -32,11 +69,11 @@ func Checksum(b []byte) uint16 {
 
 // Combine adds two partial one's-complement sums (as returned by Sum).
 func Combine(a, b uint16) uint16 {
-	return fold(uint32(a) + uint32(b))
+	return fold(uint64(a) + uint64(b))
 }
 
-// fold reduces a 32-bit accumulator to 16 bits with end-around carry.
-func fold(sum uint32) uint16 {
+// fold reduces an accumulator to 16 bits with end-around carry.
+func fold(sum uint64) uint16 {
 	for sum > 0xffff {
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
@@ -57,7 +94,7 @@ func Verify(b []byte) bool {
 // It returns the new checksum. Using the RFC 1624 form (rather than the
 // original RFC 1071 incremental equation) avoids the -0/+0 ambiguity.
 func Update16(old, oldVal, newVal uint16) uint16 {
-	sum := uint32(^old&0xffff) + uint32(^oldVal&0xffff) + uint32(newVal)
+	sum := uint64(^old) + uint64(^oldVal) + uint64(newVal)
 	return ^fold(sum)
 }
 

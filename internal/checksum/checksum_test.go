@@ -1,6 +1,7 @@
 package checksum
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -24,10 +25,69 @@ func TestSumOddLength(t *testing.T) {
 	if got, want := Sum([]byte{0xab}), uint16(0xab00); got != want {
 		t.Errorf("odd Sum = %#04x, want %#04x", got, want)
 	}
-	want := fold(uint32(0x1234) + uint32(0x5600))
+	want := fold(uint64(0x1234) + uint64(0x5600))
 	if got := Sum([]byte{0x12, 0x34, 0x56}); got != want {
 		t.Errorf("odd Sum = %#04x, want %#04x", got, want)
 	}
+}
+
+// referenceSum is the plain RFC 1071 loop: 16-bit big-endian words added
+// into a 32-bit accumulator, the odd byte padded on the right, carries
+// folded at the end. Sum must equal it for every input.
+func referenceSum(b []byte) uint16 {
+	var sum uint32
+	n := len(b) &^ 1
+	for i := 0; i < n; i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	}
+	if len(b)&1 != 0 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	for sum > 0xffff {
+		sum = (sum >> 16) + (sum & 0xffff)
+	}
+	return uint16(sum)
+}
+
+// checkAgainstReference compares Sum with referenceSum on b and on its
+// sub-slices at odd start offsets (the NIC and the stack verify slices
+// of frames that begin at arbitrary offsets).
+func checkAgainstReference(t *testing.T, b []byte) {
+	t.Helper()
+	for off := 0; off < len(b) && off < 8; off++ {
+		if off > 0 && off%2 == 0 {
+			continue
+		}
+		if got, want := Sum(b[off:]), referenceSum(b[off:]); got != want {
+			t.Fatalf("len %d offset %d: Sum = %#04x, reference = %#04x", len(b), off, got, want)
+		}
+	}
+	if got, want := Sum(b), referenceSum(b); got != want {
+		t.Fatalf("len %d: Sum = %#04x, reference = %#04x", len(b), got, want)
+	}
+}
+
+// TestSumMatchesReference covers every frame length up to a full
+// Ethernet payload, with random bytes and with every byte 0xff (the
+// largest carry load).
+func TestSumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ones := bytes.Repeat([]byte{0xff}, 1500)
+	for n := 0; n <= 1500; n++ {
+		b := make([]byte, n)
+		rng.Read(b)
+		checkAgainstReference(t, b)
+		checkAgainstReference(t, ones[:n])
+	}
+}
+
+// FuzzSum checks Sum against the reference loop on arbitrary bytes and
+// on sub-slices at odd start offsets. The seed corpus (testdata/fuzz)
+// covers the word-boundary lengths, full frames and an all-0xff buffer.
+func FuzzSum(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkAgainstReference(t, b)
+	})
 }
 
 func TestSumEmpty(t *testing.T) {

@@ -147,7 +147,7 @@ func (d *Driver) Poll(budget int) int {
 			// MAC header processing touches the cold header.
 			d.meter.Charge(cycles.Driver,
 				d.params.MACProcFixed+d.params.Mem.HeaderTouchCost())
-			skb := d.alloc.NewData(f.Data, ether.HeaderLen)
+			skb := d.alloc.NewRx(f.Data, ether.HeaderLen)
 			skb.CsumVerified = f.RxCsumOK
 			skb.RSSHash = f.RSSHash
 			skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs
@@ -166,6 +166,7 @@ func (d *Driver) Poll(budget int) int {
 				d.stats.RawDelivered++
 			} else {
 				d.stats.RawQueueFull++
+				d.alloc.Frames.Put(f.Data)
 			}
 		}
 	}

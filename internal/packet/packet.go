@@ -6,6 +6,7 @@ package packet
 import (
 	"fmt"
 
+	"repro/internal/buf"
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/tcpwire"
@@ -25,9 +26,17 @@ type TCPSpec struct {
 	// NOP,NOP,TS + NOP,NOP,SACK layout); at most tcpwire.MaxSACKBlocks
 	// blocks fit beside a timestamp. Ignored when RawTCPOptions is set.
 	SACKBlocks []tcpwire.SACKBlock
-	Payload    []byte
-	IPID       uint16
-	TTL        uint8
+	// Payload is copied into the frame after the headers.
+	Payload []byte
+	// Source, when set, replaces Payload: Build calls it to write
+	// PayloadLen bytes of the stream, starting at sequence number Seq,
+	// straight into the frame.
+	Source     func(seq uint32, b []byte)
+	PayloadLen int
+	// Frames, when set, supplies the frame buffer (nil allocates one).
+	Frames *buf.FramePool
+	IPID   uint16
+	TTL    uint8
 
 	// Fault/feature injection for tests and rule coverage:
 
@@ -45,11 +54,10 @@ type TCPSpec struct {
 	CorruptIPCsum bool
 }
 
-// Build serializes the frame described by s.
+// Build serializes the frame described by s into one buffer: headers,
+// then the payload, copied from Payload or written in place by Source,
+// then the transport checksum over the finished segment.
 func Build(s TCPSpec) ([]byte, error) {
-	if s.RawTCPOptions == nil && len(s.SACKBlocks) > 0 {
-		s.RawTCPOptions = tcpwire.BuildOptions(s.HasTS, s.TSVal, s.TSEcr, s.SACKBlocks)
-	}
 	th := tcpwire.Header{
 		SrcPort: s.SrcPort,
 		DstPort: s.DstPort,
@@ -58,16 +66,25 @@ func Build(s TCPSpec) ([]byte, error) {
 		Flags:   s.Flags,
 		Window:  s.Window,
 	}
-	tcpLen := tcpwire.MinHeaderLen
-	if s.RawTCPOptions != nil {
+	// Options other than the plain timestamp layout are written after a
+	// bare 20-byte header: either the raw bytes given, or the TS+SACK
+	// layout appended in place.
+	optLen := 0
+	switch {
+	case s.RawTCPOptions != nil:
 		if len(s.RawTCPOptions)%4 != 0 {
 			return nil, fmt.Errorf("packet: TCP options length %d not 32-bit aligned", len(s.RawTCPOptions))
 		}
-		tcpLen += len(s.RawTCPOptions)
-	} else if s.HasTS {
+		optLen = len(s.RawTCPOptions)
+	case len(s.SACKBlocks) > 0:
+		optLen = tcpwire.OptionsLen(s.HasTS, len(s.SACKBlocks))
+	case s.HasTS:
 		th.HasTimestamp = true
 		th.TSVal = s.TSVal
 		th.TSEcr = s.TSEcr
+	}
+	tcpLen := tcpwire.MinHeaderLen + optLen
+	if th.HasTimestamp {
 		tcpLen = tcpwire.TimestampHeaderLen
 	}
 
@@ -86,13 +103,20 @@ func Build(s TCPSpec) ([]byte, error) {
 	if ih.TTL == 0 {
 		ih.TTL = 64
 	}
+	payloadLen := len(s.Payload)
+	if s.Source != nil {
+		payloadLen = s.PayloadLen
+	}
 	ipLen := ih.Len()
-	ih.TotalLen = ipLen + tcpLen + len(s.Payload)
+	ih.TotalLen = ipLen + tcpLen + payloadLen
 	if ih.TotalLen > 0xffff {
 		return nil, fmt.Errorf("packet: datagram too large: %d", ih.TotalLen)
 	}
 
-	frame := make([]byte, ether.HeaderLen+ih.TotalLen)
+	frame := s.Frames.Get(ether.HeaderLen + ih.TotalLen)
+	// A recycled buffer holds an old frame: zero the headers, whose
+	// option padding the encoders below leave untouched.
+	clear(frame[:ether.HeaderLen+ipLen+tcpLen])
 	eh := ether.Header{Dst: s.DstMAC, Src: s.SrcMAC, Type: ether.TypeIPv4}
 	if err := eh.Put(frame); err != nil {
 		return nil, err
@@ -102,20 +126,22 @@ func Build(s TCPSpec) ([]byte, error) {
 		return nil, err
 	}
 	seg := l3[ipLen:]
-	if s.RawTCPOptions != nil {
-		base := make([]byte, tcpwire.MinHeaderLen)
-		if err := th.Put(base); err != nil {
-			return nil, err
-		}
-		copy(seg, base)
+	if err := th.Put(seg); err != nil {
+		return nil, err
+	}
+	if optLen > 0 {
 		seg[12] = byte(tcpLen/4) << 4
-		copy(seg[tcpwire.MinHeaderLen:], s.RawTCPOptions)
-	} else {
-		if err := th.Put(seg); err != nil {
-			return nil, err
+		if s.RawTCPOptions != nil {
+			copy(seg[tcpwire.MinHeaderLen:], s.RawTCPOptions)
+		} else {
+			tcpwire.AppendOptions(seg[tcpwire.MinHeaderLen:tcpwire.MinHeaderLen], s.HasTS, s.TSVal, s.TSEcr, s.SACKBlocks)
 		}
 	}
-	copy(seg[tcpLen:], s.Payload)
+	if s.Source != nil {
+		s.Source(s.Seq, seg[tcpLen:])
+	} else {
+		copy(seg[tcpLen:], s.Payload)
+	}
 	if err := tcpwire.SetChecksum(seg, ih.Src, ih.Dst); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/buf"
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/tcpwire"
@@ -200,5 +201,55 @@ func TestRoundTrip_Quick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildSACKAckAllocatesNothing: with a frame pool, building a
+// SACK-bearing ACK writes its options straight into the frame, so the
+// whole build allocates nothing.
+func TestBuildSACKAckAllocatesNothing(t *testing.T) {
+	s := baseSpec()
+	s.Payload = nil
+	s.SACKBlocks = []tcpwire.SACKBlock{{Start: 5000, End: 6448}, {Start: 9000, End: 10448}}
+	s.Frames = buf.NewFramePool()
+	s.Frames.Put(MustBuild(s))
+	allocs := testing.AllocsPerRun(100, func() { s.Frames.Put(MustBuild(s)) })
+	if allocs != 0 {
+		t.Errorf("SACK ACK build allocated %.0f times", allocs)
+	}
+	p, err := Parse(MustBuild(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.TCP.SACKBlocks) != 2 || !p.TCP.HasTimestamp || p.TCP.TSVal != s.TSVal {
+		t.Errorf("SACK ACK parsed back as %+v", p.TCP)
+	}
+}
+
+// TestBuildSourceMatchesPayload: a payload written in place by Source
+// gives the same frame as the same bytes copied in from Payload, also
+// into a recycled buffer that held an earlier frame.
+func TestBuildSourceMatchesPayload(t *testing.T) {
+	src := func(seq uint32, b []byte) {
+		for i := range b {
+			b[i] = byte(seq) + byte(i)*3
+		}
+	}
+	s := baseSpec()
+	s.Payload = make([]byte, 1448)
+	src(s.Seq, s.Payload)
+	want := MustBuild(s)
+
+	pool := buf.NewFramePool()
+	old := baseSpec()
+	old.Payload = bytes.Repeat([]byte{0xee}, 1448)
+	old.IPOptions = []byte{0xee, 0xee, 0xee} // padding the next frame must not inherit
+	old.Frames = pool
+	pool.Put(MustBuild(old))
+
+	s.Payload = nil
+	s.Source, s.PayloadLen, s.Frames = src, 1448, pool
+	if got := MustBuild(s); !bytes.Equal(got, want) {
+		t.Error("Source-built frame differs from the Payload-built frame")
 	}
 }

@@ -212,6 +212,7 @@ func (l *Link) transmitNext() {
 			// frame is released and the coalesced interrupt flushed, so
 			// a dropped frame can never strand the ACK clock.
 			l.stats.Lost++
+			l.sender.Frames.Put(frame)
 		} else {
 			if corrupt && len(frame) > 70 {
 				frame[len(frame)-1] ^= 0x01
@@ -321,11 +322,14 @@ func (l *Link) releaseDisplaced() {
 }
 
 // deliver is the actual handoff into the receiver's ring, stamping the
-// frame's wire interval (transmit start and arrival).
+// frame's wire interval (transmit start and arrival). A frame the ring
+// drops goes back to the sender's pool.
 func (l *Link) deliver(frame []byte, sentNs uint64) {
 	l.stats.FramesDelivered++
 	l.stats.BytesDelivered += uint64(len(frame))
-	l.dst.ReceiveFromWire(nic.Frame{Data: frame, SentNs: sentNs, ArriveNs: l.sim.Now()})
+	if !l.dst.ReceiveFromWire(nic.Frame{Data: frame, SentNs: sentNs, ArriveNs: l.sim.Now()}) {
+		l.sender.Frames.Put(frame)
+	}
 }
 
 // DeliverReverse carries a receiver-transmitted frame back to the sender

@@ -64,6 +64,8 @@ func RunRR(cfg RRConfig) (RRResult, error) {
 	serverIP := ipv4.Addr{10, 0, 0, 2}
 
 	client := NewSender(s, 0)
+	client.Frames = newFramePool()
+	machine.AllocRef().Frames = client.Frames
 	link := NewLink(s, client, machine.NICs()[0])
 	machine.WireInterrupts(cpu.kick)
 	machine.NICs()[0].OnTransmit = nicReverse(link, cpu)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/buf"
@@ -43,6 +44,11 @@ type SenderMachine struct {
 	// RecoveryRec, when set, records each connection's loss-episode
 	// durations into the given telemetry shard.
 	RecoveryRec *telemetry.StageSet
+
+	// Frames, when set, is the run's frame pool: every data, FIN and
+	// retransmitted frame this machine sends is built in one of its
+	// buffers, and the receiver releases it there.
+	Frames *buf.FramePool
 
 	conns   []*senderConn
 	byPort  map[uint16]*senderConn
@@ -128,16 +134,37 @@ func (m *SenderMachine) AddConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 }
 
 // PatternPayload is the deterministic byte source every sim sender
-// transmits: byte at absolute sequence s is a fixed mix of s. Receivers
-// (tests) can therefore verify end-to-end that the delivered stream is
-// the in-order original — across aggregation, ACK offload, retransmission
-// and flow-steering migration — without buffering a reference copy.
+// transmits: the byte at absolute sequence s is patternTable[s mod
+// patternPeriod]. Receivers (tests) can therefore verify end-to-end that
+// the delivered stream is the in-order original — across aggregation, ACK
+// offload, retransmission and flow-steering migration — without
+// buffering a reference copy. A segment is one or two copies from the
+// table; no cycle charge depends on the bytes.
 func PatternPayload(seq uint32, b []byte) {
-	for i := range b {
-		s := seq + uint32(i)
-		b[i] = byte((s * 2654435761) >> 24) // Knuth multiplicative mix
+	for len(b) > 0 {
+		n := copy(b, patternTable[seq&(patternPeriod-1):])
+		b = b[n:]
+		seq += uint32(n)
 	}
 }
+
+// patternPeriod is the pattern's period in bytes. It is a power of two,
+// so the pattern stays continuous across sequence-number wraparound, and
+// it is far larger than any receive window the simulator advertises
+// (TestPatternPayloadPeriod): a segment delivered at the wrong offset
+// within reach of the window reads different bytes and fails the
+// byte-exact checks.
+const patternPeriod = 1 << 22
+
+// patternTable is built once at package init and only read afterwards,
+// so the concurrent runs of a sweep share it safely.
+var patternTable = func() []byte {
+	t := make([]byte, patternPeriod)
+	for i := 0; i < len(t); i += 8 {
+		binary.LittleEndian.PutUint64(t[i:], splitmix64(uint64(i)))
+	}
+	return t
+}()
 
 func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePort uint16) (*tcp.Endpoint, error) {
 	if _, dup := m.byPort[localPort]; dup {
@@ -147,6 +174,7 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 	cfg.LocalIP, cfg.RemoteIP = localIP, remoteIP
 	cfg.LocalPort, cfg.RemotePort = localPort, remotePort
 	cfg.Source = PatternPayload
+	cfg.Frames = m.Frames
 	if m.NextISS != 0 {
 		cfg.ISS = m.NextISS
 		m.NextISS = 0

@@ -731,6 +731,8 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	}
 	cpu := newCPUSet(s, machine)
 	top := &streamTopology{sim: s, machine: machine, cpu: cpu}
+	frames := newFramePool()
+	machine.AllocRef().Frames = frames
 
 	// Observation plumbing. The stamp clock and recorders only read the
 	// clock and the meter — wiring them schedules nothing and charges
@@ -755,6 +757,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	for i := 0; i < cfg.NICs; i++ {
 		sender := NewSender(s, cfg.SenderQuantum)
 		sender.MaxPayload = cfg.MessageSize
+		sender.Frames = frames
 		if cfg.SACK || cfg.NoTimestamps {
 			sack, noTS := cfg.SACK, cfg.NoTimestamps
 			sender.ConfigConn = func(c *tcp.Config) {

@@ -81,8 +81,12 @@ type Config struct {
 	// the send side keeps a scoreboard over the retransmission list
 	// (selective retransmission, limited transmit, pipe accounting).
 	SACK bool
-	// Source generates payload bytes for transmission.
+	// Source generates payload bytes for transmission; data frames are
+	// built with it writing straight into the frame.
 	Source DataSource
+	// Frames, when set, supplies the buffers of data and FIN frames
+	// (the run topology's pool; nil allocates each frame).
+	Frames *buf.FramePool
 }
 
 // MinRTONs is the adaptive estimator's timeout floor (Linux's 200 ms) —
@@ -271,11 +275,7 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, cloc
 		return nil, fmt.Errorf("tcp: bad InitialCwnd %d", cfg.InitialCwnd)
 	}
 	if cfg.Source == nil {
-		cfg.Source = func(seq uint32, b []byte) {
-			for i := range b {
-				b[i] = 0
-			}
-		}
+		cfg.Source = func(seq uint32, b []byte) { clear(b) }
 	}
 	e := &Endpoint{
 		cfg:       cfg,
@@ -297,6 +297,9 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, cloc
 
 // Stats returns a copy of the endpoint counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
+
+// Config returns the endpoint's configuration (with defaults applied).
+func (e *Endpoint) Config() Config { return e.cfg }
 
 // RcvNxt returns the next expected receive sequence number.
 func (e *Endpoint) RcvNxt() uint32 { return e.rcvNxt }

@@ -324,21 +324,7 @@ func (e *Endpoint) NextDataFrame(maxPayload int) []byte {
 	if size > avail {
 		size = avail
 	}
-	payload := make([]byte, size)
-	e.cfg.Source(e.sndNxt, payload)
-
-	e.ipID++
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: e.sndNxt, Ack: e.rcvNxt,
-		Flags:  tcpwire.FlagACK | tcpwire.FlagPSH,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID:    e.ipID,
-		Payload: payload,
-	})
+	frame := packet.MustBuild(e.segmentSpec(e.sndNxt, tcpwire.FlagACK|tcpwire.FlagPSH, size))
 
 	if e.cfg.SACK && !e.inFastRec && e.dupAcks > 0 && e.dupAcks < 3 {
 		e.stats.LimitedTransmits++
@@ -359,17 +345,7 @@ func (e *Endpoint) NextDataFrame(maxPayload int) []byte {
 // buildFinFrame emits our FIN: an empty FIN|ACK segment consuming one
 // sequence number, tracked for retransmission like data.
 func (e *Endpoint) buildFinFrame() []byte {
-	e.ipID++
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: e.sndNxt, Ack: e.rcvNxt,
-		Flags:  tcpwire.FlagACK | tcpwire.FlagFIN,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID: e.ipID,
-	})
+	frame := packet.MustBuild(e.segmentSpec(e.sndNxt, tcpwire.FlagACK|tcpwire.FlagFIN, 0))
 	now := e.clock()
 	e.rtx = append(e.rtx, sentSegment{seq: e.sndNxt, fin: true, sentAt: now, lastTx: now})
 	e.finSeq = e.sndNxt
@@ -382,6 +358,26 @@ func (e *Endpoint) buildFinFrame() []byte {
 	e.delackArm = 0
 	e.armRTO()
 	return frame
+}
+
+// segmentSpec describes a data or FIN segment at seq with size payload
+// bytes, which Build writes straight from the endpoint's Source into a
+// frame from its pool; it carries the current ACK, window and timestamps
+// and takes the next IP ID.
+func (e *Endpoint) segmentSpec(seq uint32, flags uint8, size int) packet.TCPSpec {
+	e.ipID++
+	return packet.TCPSpec{
+		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
+		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
+		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
+		Seq: seq, Ack: e.rcvNxt,
+		Flags:  flags,
+		Window: e.advertisedWindow(),
+		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
+		IPID:   e.ipID,
+		Source: e.cfg.Source, PayloadLen: size,
+		Frames: e.cfg.Frames,
+	}
 }
 
 // SendDataSKB builds the next permitted data frame and wraps it in an SKB
@@ -435,26 +431,11 @@ func (e *Endpoint) resendSegment(s *sentSegment) {
 	s.rexmit = true
 	s.lastTx = e.clock()
 	flags := tcpwire.FlagACK | tcpwire.FlagPSH
-	var payload []byte
 	if s.fin {
 		flags = tcpwire.FlagACK | tcpwire.FlagFIN
 		e.stats.FinsOut++
-	} else {
-		payload = make([]byte, s.length)
-		e.cfg.Source(s.seq, payload)
 	}
-	e.ipID++
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: s.seq, Ack: e.rcvNxt,
-		Flags:  flags,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID:    e.ipID,
-		Payload: payload,
-	})
+	frame := packet.MustBuild(e.segmentSpec(s.seq, flags, s.length))
 	if e.OnRetransmit != nil {
 		e.OnRetransmit(frame)
 	} else if e.Output != nil {

@@ -104,3 +104,26 @@ func TestBuildOptionsEmpty(t *testing.T) {
 		t.Errorf("timestamp-only layout misparsed: %+v", h)
 	}
 }
+
+// TestAppendOptionsInPlace: AppendOptions writes the BuildOptions layout
+// into dst's spare capacity, after what dst already holds, and
+// OptionsLen predicts its length, including when blocks are dropped.
+func TestAppendOptionsInPlace(t *testing.T) {
+	blocks := []SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}}
+	for _, hasTS := range []bool{true, false} {
+		for n := 0; n <= len(blocks); n++ {
+			want := BuildOptions(hasTS, 11, 12, blocks[:n])
+			if got := OptionsLen(hasTS, n); got != len(want) {
+				t.Errorf("hasTS=%v n=%d: OptionsLen = %d, BuildOptions wrote %d", hasTS, n, got, len(want))
+			}
+			frame := make([]byte, 4, 64)
+			got := AppendOptions(frame, hasTS, 11, 12, blocks[:n])
+			if &got[0] != &frame[0] {
+				t.Fatalf("hasTS=%v n=%d: AppendOptions reallocated", hasTS, n)
+			}
+			if string(got[4:]) != string(want) {
+				t.Errorf("hasTS=%v n=%d: AppendOptions = %x, BuildOptions = %x", hasTS, n, got[4:], want)
+			}
+		}
+	}
+}

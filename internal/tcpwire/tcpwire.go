@@ -213,37 +213,58 @@ func (h *Header) Put(b []byte) error {
 // exactly full at three); excess blocks are dropped, never truncated
 // mid-block. Returns nil when neither option is requested.
 func BuildOptions(hasTS bool, tsVal, tsEcr uint32, blocks []SACKBlock) []byte {
-	max := MaxSACKBlocks
-	if !hasTS {
-		max = 4 // 40-byte area fits NOP,NOP,SACK(2+8·4)
+	n := OptionsLen(hasTS, len(blocks))
+	if n == 0 {
+		return nil
 	}
-	if len(blocks) > max {
-		blocks = blocks[:max]
-	}
+	return AppendOptions(make([]byte, 0, n), hasTS, tsVal, tsEcr, blocks)
+}
+
+// OptionsLen returns the number of bytes AppendOptions appends for a
+// timestamp (if hasTS) and nblocks SACK blocks, after dropping the blocks
+// that do not fit.
+func OptionsLen(hasTS bool, nblocks int) int {
 	n := 0
 	if hasTS {
 		n += 2 + TimestampOptLen
 	}
-	if len(blocks) > 0 {
-		n += 2 + 2 + 8*len(blocks)
+	if nblocks = sackFit(hasTS, nblocks); nblocks > 0 {
+		n += 2 + 2 + 8*nblocks
 	}
-	if n == 0 {
-		return nil
+	return n
+}
+
+// sackFit returns how many of nblocks SACK blocks fit in the options area
+// beside the timestamp option (if present).
+func sackFit(hasTS bool, nblocks int) int {
+	max := MaxSACKBlocks
+	if !hasTS {
+		max = 4 // 40-byte area fits NOP,NOP,SACK(2+8·4)
 	}
-	b := make([]byte, 0, n)
+	if nblocks > max {
+		return max
+	}
+	return nblocks
+}
+
+// AppendOptions appends the BuildOptions layout to dst and returns the
+// extended slice. Appending into a frame's spare capacity writes the
+// options in place, with no intermediate buffer.
+func AppendOptions(dst []byte, hasTS bool, tsVal, tsEcr uint32, blocks []SACKBlock) []byte {
 	if hasTS {
-		b = append(b, OptNOP, OptNOP, OptTimestamps, TimestampOptLen)
-		b = binary.BigEndian.AppendUint32(b, tsVal)
-		b = binary.BigEndian.AppendUint32(b, tsEcr)
+		dst = append(dst, OptNOP, OptNOP, OptTimestamps, TimestampOptLen)
+		dst = binary.BigEndian.AppendUint32(dst, tsVal)
+		dst = binary.BigEndian.AppendUint32(dst, tsEcr)
 	}
+	blocks = blocks[:sackFit(hasTS, len(blocks))]
 	if len(blocks) > 0 {
-		b = append(b, OptNOP, OptNOP, OptSACK, byte(2+8*len(blocks)))
+		dst = append(dst, OptNOP, OptNOP, OptSACK, byte(2+8*len(blocks)))
 		for _, blk := range blocks {
-			b = binary.BigEndian.AppendUint32(b, blk.Start)
-			b = binary.BigEndian.AppendUint32(b, blk.End)
+			dst = binary.BigEndian.AppendUint32(dst, blk.Start)
+			dst = binary.BigEndian.AppendUint32(dst, blk.End)
 		}
 	}
-	return b
+	return dst
 }
 
 // SetChecksum computes and inserts the transport checksum for the serialized

@@ -625,7 +625,8 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	// is the batched hypercall's fixed cost).
 	guestSKB := m.grantCopy(skb)
 
-	// The dom0 SKB is done; the guest owns the copy from here on.
+	// The dom0 SKB is done; the guest owns the copy from here on. Freeing
+	// it releases the source frames.
 	m.Alloc.Free(skb)
 
 	ch.stats.HostPackets++
@@ -651,15 +652,16 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 
 // grantCopy copies the packet into guest memory, charging the batched
 // hypercall's fixed cost once and per-byte cost per fragment run (each run
-// is a fresh stream for the prefetcher).
+// is a fresh stream for the prefetcher). The guest buffers come from the
+// run's frame pool and go back to it when the guest frees the SKB.
 func (m *Machine) grantCopy(skb *buf.SKB) *buf.SKB {
 	m.stats.GrantCopies++
-	head := make([]byte, len(skb.Head))
+	head := m.Alloc.Frames.Get(len(skb.Head))
 	copy(head, skb.Head)
 	m.Meter.Charge(cycles.Xen, m.Params.GrantCopyFixed)
 	m.Meter.Charge(cycles.PerByte, m.Params.Mem.CopyCost(len(skb.Head)))
 
-	g := m.Alloc.NewData(head, skb.L3Offset)
+	g := m.Alloc.NewRx(head, skb.L3Offset)
 	g.CsumVerified = skb.CsumVerified
 	g.RSSHash = skb.RSSHash
 	g.Aggregated = skb.Aggregated
@@ -669,10 +671,10 @@ func (m *Machine) grantCopy(skb *buf.SKB) *buf.SKB {
 		skb.SentNs, skb.ArriveNs, skb.DequeueNs, skb.AggCloseNs
 	for i := range skb.Frags {
 		f := skb.Frags[i]
-		data := make([]byte, len(f.Data))
+		data := m.Alloc.Frames.Get(len(f.Data))
 		copy(data, f.Data)
 		m.Meter.Charge(cycles.PerByte, m.Params.Mem.CopyCost(len(f.Data)))
-		m.Alloc.AttachFrag(g, buf.Frag{Data: data, Ack: f.Ack, TSVal: f.TSVal})
+		m.Alloc.AttachFrag(g, buf.Frag{Data: data, Frame: data, Ack: f.Ack, TSVal: f.TSVal})
 	}
 	return g
 }
