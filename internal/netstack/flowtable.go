@@ -28,10 +28,10 @@ import (
 // Within a shard two layouts are available (FlowLayout):
 //
 //   - LayoutOpenAddressed (default): a cache-conscious open-addressing
-//     table of fixed 32-byte slots — two per cache line — probed linearly
-//     with robin-hood displacement and grown by powers of two at 3/4
-//     load. A lookup's memory traffic is the probe run itself: the hit
-//     entry (hash, key and endpoint pointer share the slot) streams in
+//     table of fixed slots, modeled at 32 bytes — two per cache line —
+//     probed linearly with robin-hood displacement and grown by powers of
+//     two at 3/4 load. A lookup's memory traffic is the probe run itself:
+//     the hit entry (hash, key and endpoint share the slot) streams in
 //     with the key compares, and robin-hood keeps probe runs short and
 //     adjacent, so a demux touch is ~1 line however large the table is.
 //   - LayoutSeedMap: the seed-style Go map shard, kept behind the switch
@@ -56,6 +56,10 @@ type FlowTable struct {
 	count  int
 	queues int // softirq CPU count for steal detection (0 = unknown)
 
+	// reg interns the bound endpoints: slots and map values hold its
+	// handles, never pointers (see epRegistry).
+	reg epRegistry
+
 	// bytes is the modeled structure footprint of the demux table itself
 	// (slot arrays or map buckets — not the endpoints), the capacity-model
 	// input; demuxCycles accumulates every cycle charged through it.
@@ -66,6 +70,11 @@ type FlowTable struct {
 	// table built without them (unit tests) charges nothing.
 	meter  *cycles.Meter
 	params *cost.Params
+	// touchCosts memoizes CapacityTouchCost per line count at footprint
+	// touchBytes; bit n of touchKnown marks touchCosts[n] valid.
+	touchCosts [16]uint64
+	touchBytes uint64
+	touchKnown uint16
 
 	// owners, when set, is the live bucket→CPU steering map shared with
 	// the NICs: shard ownership follows indirection rewrites instead of
@@ -127,11 +136,13 @@ func ParseFlowLayout(s string) (FlowLayout, error) {
 }
 
 const (
-	// FlowSlotBytes is one open-addressed slot: 12 bytes of four-tuple
-	// key, the 4-byte Toeplitz hash, the 2-byte robin-hood probe distance
-	// and the 8-byte endpoint pointer, padded to a half cache line so two
-	// slots share a 64-byte line and a probe run streams rather than
-	// chases.
+	// FlowSlotBytes is the modeled size of one open-addressed slot, the
+	// unit of the table's footprint and capacity pricing: 12 bytes of
+	// four-tuple key, the 4-byte Toeplitz hash, the 2-byte robin-hood
+	// probe distance and an 8-byte endpoint pointer, padded to a half
+	// cache line so two slots share a 64-byte line and a probe run streams
+	// rather than chases. The Go representation (flowSlot) is smaller; the
+	// model prices the kernel-style slot.
 	FlowSlotBytes = 32
 	// flowShardMinSlots is the initial slot-array size of a shard's first
 	// insert (arrays are allocated lazily, so empty shards occupy no
@@ -152,12 +163,14 @@ const (
 // flowSlot is one open-addressed entry. dist is the 1-based probe
 // distance from the key's home slot (0 = empty); robin-hood insertion
 // keeps it near 1 and bounded, and it doubles as the per-entry probe
-// length the occupancy histogram reports.
+// length the occupancy histogram reports. ep is the endpoint's registry
+// handle. The slot holds no pointers, so slot arrays are 24 bytes a slot
+// and the garbage collector never scans them.
 type flowSlot struct {
 	hash uint32
-	dist uint16
 	key  FlowKey
-	ep   *tcp.Endpoint
+	dist uint16
+	ep   uint32
 }
 
 // flowShard is one shard: a private demux structure (map- or slot-
@@ -165,10 +178,64 @@ type flowSlot struct {
 // including the pending-aggregate accounting that lets tests and
 // benchmarks observe how aggregation state distributes over shards.
 type flowShard struct {
-	conns map[FlowKey]*tcp.Endpoint // LayoutSeedMap
-	slots []flowSlot                // LayoutOpenAddressed (lazy, power of two)
-	used  int                       // occupied slots
+	conns map[FlowKey]uint32 // LayoutSeedMap: key → endpoint handle
+	slots []flowSlot         // LayoutOpenAddressed (lazy, power of two)
+	used  int                // occupied slots
 	stats ShardStats
+}
+
+// epRegistry interns a table's endpoints behind uint32 handles, counting
+// the entries that name each one. Many keys may bind one endpoint (idle
+// connscale flows all share a placeholder), which then takes a single
+// registry entry; a handle whose last reference is removed is recycled.
+// ids is only ever indexed, never ranged.
+type epRegistry struct {
+	eps  []*tcp.Endpoint // by handle; nil when free
+	refs []uint32        // by handle; 0 when free
+	ids  map[*tcp.Endpoint]uint32
+	free []uint32 // released handles, reused last-in first-out
+}
+
+// handleOf returns ep's handle, or the handle retain would give it, so an
+// insert can place the handle before it knows the insert succeeds.
+func (r *epRegistry) handleOf(ep *tcp.Endpoint) uint32 {
+	if h, ok := r.ids[ep]; ok {
+		return h
+	}
+	if n := len(r.free); n > 0 {
+		return r.free[n-1]
+	}
+	return uint32(len(r.eps))
+}
+
+// retain adds a reference to h, binding it to ep first when h is new (h
+// must come from handleOf(ep) with no registry change in between).
+func (r *epRegistry) retain(h uint32, ep *tcp.Endpoint) {
+	if int(h) < len(r.eps) && r.refs[h] > 0 {
+		r.refs[h]++
+		return
+	}
+	if int(h) == len(r.eps) {
+		r.eps = append(r.eps, ep)
+		r.refs = append(r.refs, 1)
+	} else {
+		r.free = r.free[:len(r.free)-1]
+		r.eps[h], r.refs[h] = ep, 1
+	}
+	if r.ids == nil {
+		r.ids = make(map[*tcp.Endpoint]uint32)
+	}
+	r.ids[ep] = h
+}
+
+// release drops a reference to h, freeing the handle with its last one.
+func (r *epRegistry) release(h uint32) {
+	if r.refs[h]--; r.refs[h] > 0 {
+		return
+	}
+	delete(r.ids, r.eps[h])
+	r.eps[h] = nil
+	r.free = append(r.free, h)
 }
 
 // ShardStats counts one shard's demux activity.
@@ -215,7 +282,7 @@ func NewFlowTableLayout(shards int, layout FlowLayout) (*FlowTable, error) {
 	t := &FlowTable{layout: layout, shards: make([]flowShard, shards), mask: uint32(shards - 1)}
 	if layout == LayoutSeedMap {
 		for i := range t.shards {
-			t.shards[i].conns = make(map[FlowKey]*tcp.Endpoint)
+			t.shards[i].conns = make(map[FlowKey]uint32)
 		}
 	}
 	return t, nil
@@ -230,6 +297,7 @@ func (t *FlowTable) Layout() FlowLayout { return t.layout }
 // arm their tables at construction; bare tables (unit tests) stay free.
 func (t *FlowTable) SetPricing(m *cycles.Meter, p *cost.Params) {
 	t.meter, t.params = m, p
+	t.touchKnown = 0
 }
 
 // StructBytes returns the modeled footprint of the demux structure
@@ -276,12 +344,30 @@ func (t *FlowTable) charge(cat cycles.Category, lines int) {
 	if t.meter == nil || lines == 0 {
 		return
 	}
-	c := t.params.Mem.CapacityTouchCost(lines, t.bytes)
+	c := t.touchCost(lines)
 	if c == 0 {
 		return
 	}
 	t.meter.Charge(cat, c)
 	t.demuxCycles += c
+}
+
+// touchCost returns CapacityTouchCost(lines, t.bytes), computed once per
+// line count for each footprint: the footprint only changes on growth
+// (open layout) or mutation (map layout), while every insert and lookup
+// charges at it.
+func (t *FlowTable) touchCost(lines int) uint64 {
+	if lines >= len(t.touchCosts) {
+		return t.params.Mem.CapacityTouchCost(lines, t.bytes)
+	}
+	if t.touchBytes != t.bytes {
+		t.touchBytes, t.touchKnown = t.bytes, 0
+	}
+	if bit := uint16(1) << lines; t.touchKnown&bit == 0 {
+		t.touchCosts[lines] = t.params.Mem.CapacityTouchCost(lines, t.bytes)
+		t.touchKnown |= bit
+	}
+	return t.touchCosts[lines]
 }
 
 // chargeGrow prices a shard growth rehash: a sequential sweep of the old
@@ -299,11 +385,11 @@ func (t *FlowTable) chargeGrow(oldSlots, newSlots int) {
 	t.demuxCycles += c
 }
 
-// openLookup probes for k in the open layout, returning the endpoint (or
-// nil) and the probe count. Robin-hood ordering terminates a miss early:
-// once a resident entry's distance is below the probe distance, k cannot
-// be further along.
-func (s *flowShard) openLookup(h uint32, k FlowKey) (*tcp.Endpoint, int) {
+// openLookup probes for k in the open layout, returning the slot holding
+// it (nil when absent) and the probe count. Robin-hood ordering
+// terminates a miss early: once a resident entry's distance is below the
+// probe distance, k cannot be further along.
+func (s *flowShard) openLookup(h uint32, k FlowKey) (*flowSlot, int) {
 	if len(s.slots) == 0 {
 		return nil, 1
 	}
@@ -315,7 +401,7 @@ func (s *flowShard) openLookup(h uint32, k FlowKey) (*tcp.Endpoint, int) {
 			return nil, int(p)
 		}
 		if sl.hash == h && sl.key == k {
-			return sl.ep, int(p)
+			return sl, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -340,33 +426,40 @@ func (s *flowShard) openGrow() (oldSlots, newSlots int) {
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
-			s.openPut(old[i].hash, old[i].key, old[i].ep)
+			sl := old[i]
+			sl.dist = 1
+			s.openPut(sl)
 		}
 	}
 	return len(old), n
 }
 
-// openPut inserts a key known to be absent, robin-hood displacing richer
-// residents, and returns the number of slots visited. The caller must
-// have ensured capacity (openNeedsGrow), so an empty slot is guaranteed
-// within the probe run.
-func (s *flowShard) openPut(h uint32, k FlowKey, ep *tcp.Endpoint) int {
+// openPut inserts cur (dist 1) robin-hood style, displacing richer
+// residents, and returns the number of slots visited. Until cur first
+// displaces a resident its walk is exactly the walk a lookup of its key
+// takes, so a resident with the same key is met there: openPut then
+// reports dup and has written nothing; past the first displacement the
+// key cannot be resident. The caller must have ensured capacity
+// (openNeedsGrow), so an empty slot is guaranteed within the probe run.
+func (s *flowShard) openPut(cur flowSlot) (visited int, dup bool) {
 	mask := uint32(len(s.slots) - 1)
-	cur := flowSlot{hash: h, dist: 1, key: k, ep: ep}
-	i := slotIndexHash(h) & mask
-	visited := 0
+	i := slotIndexHash(cur.hash) & mask
+	searching := true
 	for {
 		visited++
 		sl := &s.slots[i]
 		if sl.dist == 0 {
 			*sl = cur
 			s.used++
-			return visited
+			return visited, false
 		}
 		if sl.dist < cur.dist {
 			// Robin hood: the poorer key (further from home) takes the
 			// slot; the displaced resident continues probing.
 			*sl, cur = cur, *sl
+			searching = false
+		} else if searching && sl.hash == cur.hash && sl.key == cur.key {
+			return visited, true
 		}
 		cur.dist++
 		i = (i + 1) & mask
@@ -375,19 +468,21 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ep *tcp.Endpoint) int {
 
 // openRemove deletes k with backward-shift compaction (successor entries
 // slide one slot toward home, keeping probe runs tight for every later
-// lookup), returning whether k was resident and the slots visited.
-func (s *flowShard) openRemove(h uint32, k FlowKey) (bool, int) {
+// lookup), returning whether k was resident, its endpoint handle and the
+// slots visited.
+func (s *flowShard) openRemove(h uint32, k FlowKey) (ok bool, ep uint32, probes int) {
 	if len(s.slots) == 0 {
-		return false, 1
+		return false, 0, 1
 	}
 	mask := uint32(len(s.slots) - 1)
 	i := slotIndexHash(h) & mask
 	for p := uint16(1); ; p++ {
 		sl := &s.slots[i]
 		if sl.dist == 0 || sl.dist < p {
-			return false, int(p)
+			return false, 0, int(p)
 		}
 		if sl.hash == h && sl.key == k {
+			ep = sl.ep
 			for {
 				j := (i + 1) & mask
 				nx := s.slots[j]
@@ -400,7 +495,7 @@ func (s *flowShard) openRemove(h uint32, k FlowKey) (bool, int) {
 				i = j
 			}
 			s.used--
-			return true, int(p)
+			return true, ep, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -417,32 +512,44 @@ func (t *FlowTable) Shards() int { return len(t.shards) }
 // Len returns the total number of registered endpoints.
 func (t *FlowTable) Len() int { return t.count }
 
-// Insert registers ep under k; duplicate keys error. The structural
-// touches (probe chase plus entry write, or the map mutation) charge
-// cycles.NonProto at the capacity-miss excess — socket-hash insertion is
-// connection-setup work, not receive protocol processing.
+// Insert registers ep under k; a nil ep or a duplicate key errors and
+// leaves the table unchanged. The structural touches (probe chase plus
+// entry write, or the map mutation) charge cycles.NonProto at the
+// capacity-miss excess — socket-hash insertion is connection-setup work,
+// not receive protocol processing. In the open layout the duplicate check
+// rides on the insert's own probe run; only an insert that must first
+// grow its shard probes the old array separately, so that a rejected
+// insert never grows it.
 func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
+	if ep == nil {
+		return fmt.Errorf("netstack: nil endpoint for %v:%d->%v:%d", k.Src, k.SrcPort, k.Dst, k.DstPort)
+	}
 	h := hashOf(k)
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
+	handle := t.reg.handleOf(ep)
 	if t.layout == LayoutSeedMap {
 		if _, dup := s.conns[k]; dup {
 			return t.dupErr(k)
 		}
-		s.conns[k] = ep
+		s.conns[k] = handle
 		t.bytes += flowMapEntryBytes
 		t.charge(cycles.NonProto, flowMapDemuxLines)
 	} else {
-		if ep0, _ := s.openLookup(h, k); ep0 != nil {
-			return t.dupErr(k)
-		}
 		if s.openNeedsGrow() {
+			if sl, _ := s.openLookup(h, k); sl != nil {
+				return t.dupErr(k)
+			}
 			oldSlots, newSlots := s.openGrow()
 			t.bytes += uint64(newSlots-oldSlots) * FlowSlotBytes
 			t.chargeGrow(oldSlots, newSlots)
 		}
-		probes := s.openPut(h, k, ep)
+		probes, dup := s.openPut(flowSlot{hash: h, key: k, dist: 1, ep: handle})
+		if dup {
+			return t.dupErr(k)
+		}
 		t.charge(cycles.NonProto, openProbeLines(probes))
 	}
+	t.reg.retain(handle, ep)
 	s.stats.Endpoints++
 	t.count++
 	return nil
@@ -464,12 +571,25 @@ func (t *FlowTable) Has(k FlowKey) bool {
 // endpoint state through it), or nil.
 func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 	h := hashOf(k)
-	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	if t.layout == LayoutSeedMap {
-		return s.conns[k]
-	}
-	ep, _ := s.openLookup(h, k)
+	ep, _ := t.find(&t.shards[rss.ShardOf(h, len(t.shards))], h, k)
 	return ep
+}
+
+// find resolves k in shard s, returning its endpoint (nil when absent) and
+// the touched cache lines of the probe or map chase.
+func (t *FlowTable) find(s *flowShard, h uint32, k FlowKey) (*tcp.Endpoint, int) {
+	if t.layout == LayoutSeedMap {
+		handle, ok := s.conns[k]
+		if !ok {
+			return nil, flowMapDemuxLines
+		}
+		return t.reg.eps[handle], flowMapDemuxLines
+	}
+	sl, probes := s.openLookup(h, k)
+	if sl == nil {
+		return nil, openProbeLines(probes)
+	}
+	return t.reg.eps[sl.ep], openProbeLines(probes)
 }
 
 // Remove unregisters the endpoint bound to k, reporting whether it
@@ -477,20 +597,23 @@ func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 func (t *FlowTable) Remove(k FlowKey) bool {
 	h := hashOf(k)
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
+	var handle uint32
+	var ok bool
 	if t.layout == LayoutSeedMap {
-		if _, ok := s.conns[k]; !ok {
+		if handle, ok = s.conns[k]; !ok {
 			return false
 		}
 		delete(s.conns, k)
 		t.bytes -= flowMapEntryBytes
 		t.charge(cycles.NonProto, flowMapDemuxLines)
 	} else {
-		ok, probes := s.openRemove(h, k)
-		if !ok {
+		var probes int
+		if ok, handle, probes = s.openRemove(h, k); !ok {
 			return false
 		}
 		t.charge(cycles.NonProto, openProbeLines(probes))
 	}
+	t.reg.release(handle)
 	delete(t.flowOwners, k)
 	s.stats.Endpoints--
 	t.count--
@@ -570,15 +693,8 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 			s.stats.Steals++
 		}
 	}
-	var ep *tcp.Endpoint
-	if t.layout == LayoutSeedMap {
-		ep = s.conns[k]
-		t.charge(cycles.Rx, flowMapDemuxLines)
-	} else {
-		var probes int
-		ep, probes = s.openLookup(hash, k)
-		t.charge(cycles.Rx, openProbeLines(probes))
-	}
+	ep, lines := t.find(s, hash, k)
+	t.charge(cycles.Rx, lines)
 	if ep == nil {
 		s.stats.Misses++
 		return nil
@@ -644,8 +760,8 @@ func (t *FlowTable) TableStats() TableStats {
 		return ts
 	}
 	var loads []float64
-	var probes []int
 	var hist []uint64
+	resident := uint64(0)
 	for i := range t.shards {
 		s := &t.shards[i]
 		if len(s.slots) == 0 {
@@ -655,11 +771,11 @@ func (t *FlowTable) TableStats() TableStats {
 		loads = append(loads, float64(s.used)/float64(len(s.slots)))
 		for j := range s.slots {
 			if d := int(s.slots[j].dist); d > 0 {
-				probes = append(probes, d)
 				for len(hist) < d {
 					hist = append(hist, 0)
 				}
 				hist[d-1]++
+				resident++
 			}
 		}
 	}
@@ -667,9 +783,22 @@ func (t *FlowTable) TableStats() TableStats {
 		sort.Float64s(loads)
 		ts.LoadMin, ts.LoadP50, ts.LoadMax = loads[0], loads[len(loads)/2], loads[len(loads)-1]
 	}
-	if len(probes) > 0 {
-		sort.Ints(probes)
-		ts.ProbeMin, ts.ProbeP50, ts.ProbeMax = probes[0], probes[len(probes)/2], probes[len(probes)-1]
+	if resident > 0 {
+		// Probe lengths 1..len(hist) in histogram order: the min is the
+		// first non-empty bucket, the max the last (hist only grows to
+		// the longest length seen), the median the bucket holding the
+		// resident/2'th entry (0-based) of the sorted lengths.
+		ts.ProbeMax = len(hist)
+		seen := uint64(0)
+		for d, n := range hist {
+			if n > 0 && ts.ProbeMin == 0 {
+				ts.ProbeMin = d + 1
+			}
+			if seen += n; seen > resident/2 {
+				ts.ProbeP50 = d + 1
+				break
+			}
+		}
 		ts.ProbeHist = hist
 	}
 	return ts

@@ -12,7 +12,7 @@ import (
 	"repro/internal/tcp"
 )
 
-func testEndpoint(t *testing.T, rPort, lPort uint16) *tcp.Endpoint {
+func testEndpoint(t testing.TB, rPort, lPort uint16) *tcp.Endpoint {
 	t.Helper()
 	params := cost.NativeUP()
 	var m cycles.Meter
@@ -68,6 +68,24 @@ func TestFlowTableInsertLookupRemove(t *testing.T) {
 	}
 	if tab.Len() != 0 {
 		t.Errorf("Len = %d after remove", tab.Len())
+	}
+}
+
+// TestFlowTableRejectsNilEndpoint: a key cannot be bound to no endpoint
+// in either layout, and the refusal leaves the table empty.
+func TestFlowTableRejectsNilEndpoint(t *testing.T) {
+	for _, layout := range []FlowLayout{LayoutOpenAddressed, LayoutSeedMap} {
+		tab, err := NewFlowTableLayout(8, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(key(5001, 44000), nil); err == nil {
+			t.Errorf("%v: Insert of a nil endpoint did not error", layout)
+		}
+		if tab.Len() != 0 || tab.StructBytes() != 0 || len(tab.reg.eps) != 0 {
+			t.Errorf("%v: rejected insert changed the table: len %d, bytes %d, handles %d",
+				layout, tab.Len(), tab.StructBytes(), len(tab.reg.eps))
+		}
 	}
 }
 

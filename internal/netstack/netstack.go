@@ -106,6 +106,9 @@ type Stack struct {
 	table *FlowTable
 	tw    *timeWaitTable
 	stats Stats
+	// output is s.Output bound once, so Register hands every endpoint
+	// the same func value instead of allocating a method value per call.
+	output func(*buf.SKB)
 
 	// payloadScratch/ackScratch are reused by every delivery (see
 	// inputFrom).
@@ -156,7 +159,9 @@ func NewShardedLayout(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, sha
 	t.SetPricing(m, p)
 	// The TIME_WAIT table shares the flow table's sharding, so a flow's
 	// lingering entry lives on the same softirq CPU as its demux entry.
-	return &Stack{meter: m, params: p, alloc: alloc, table: t, tw: newTimeWaitTable(t.Shards())}, nil
+	s := &Stack{meter: m, params: p, alloc: alloc, table: t, tw: newTimeWaitTable(t.Shards())}
+	s.output = s.Output
+	return s, nil
 }
 
 // Stats returns a copy of the stack counters.
@@ -207,7 +212,7 @@ func (s *Stack) Register(ep *tcp.Endpoint, remoteIP, localIP ipv4.Addr, remotePo
 	if err := s.table.Insert(k, ep); err != nil {
 		return err
 	}
-	ep.Output = s.Output
+	ep.Output = s.output
 	s.noteMem()
 	return nil
 }

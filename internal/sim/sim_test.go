@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/nic"
 )
@@ -405,4 +407,26 @@ func mustTestNIC(t *testing.T) *nic.NIC {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestRegisteredFlowsCap checks that a registered population above
+// MaxRegisteredFlows is a validation error returned before any idle flow
+// is seeded: seeding even the cap's worth takes seconds, so a prompt
+// error with no topology is the proof that nothing was built.
+func TestRegisteredFlowsCap(t *testing.T) {
+	for _, n := range []int{MaxRegisteredFlows + 1, 1_000_000_000} {
+		cfg := shortStream(SystemNativeUP, OptNone)
+		cfg.RegisteredFlows = n
+		start := time.Now()
+		top, err := buildStream(&cfg)
+		if err == nil || top != nil {
+			t.Fatalf("RegisteredFlows=%d: got topology %v, err %v; want a validation error", n, top != nil, err)
+		}
+		if !strings.Contains(err.Error(), "RegisteredFlows") {
+			t.Errorf("RegisteredFlows=%d: error %q does not name the field", n, err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("RegisteredFlows=%d: rejection took %v; seeding ran first", n, el)
+		}
+	}
 }

@@ -168,7 +168,7 @@ type StreamConfig struct {
 	// connections that receive no traffic during the run but occupy demux
 	// table slots and endpoint slab bytes, so the active subset's lookups
 	// walk a realistically cold, realistically large table (the connscale
-	// axis, 10k → 1M).
+	// axis, 10k → 1M). At most MaxRegisteredFlows.
 	RegisteredFlows int
 	// MaxTimeWaitBuckets caps the TIME_WAIT population
 	// (tcp_max_tw_buckets, split across shards; 0 = unlimited), and
@@ -668,6 +668,13 @@ func appBytes(m Machine) uint64 {
 	return total
 }
 
+// MaxRegisteredFlows caps StreamConfig.RegisteredFlows. Idle flows are
+// seeded one registration at a time before the run starts, at about a
+// third of a second and 100 MiB of allocation per million, so a
+// mistyped population (1e9) fails validation instead of seeding for
+// hours. The cap is 16× the largest connscale point.
+const MaxRegisteredFlows = 1 << 24
+
 // buildStream wires the full topology.
 func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.NICs <= 0 {
@@ -703,6 +710,9 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	}
 	if cfg.RegisteredFlows < 0 {
 		return nil, fmt.Errorf("sim: RegisteredFlows %d must be non-negative", cfg.RegisteredFlows)
+	}
+	if cfg.RegisteredFlows > MaxRegisteredFlows {
+		return nil, fmt.Errorf("sim: RegisteredFlows %d above the %d cap", cfg.RegisteredFlows, MaxRegisteredFlows)
 	}
 	if cfg.RegisteredFlows > 0 && cfg.RegisteredFlows < cfg.Connections {
 		return nil, fmt.Errorf("sim: RegisteredFlows %d below Connections %d",
