@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/buf"
 	"repro/internal/checksum"
 	"repro/internal/tcpwire"
 )
@@ -30,9 +31,12 @@ import (
 // consecutive IDs, as individually generated packets would have), and the
 // two incrementally-updated checksums.
 //
-// The returned slice has len(extras) entries; the template itself is the
-// first ACK and is not duplicated here.
-func Expand(template []byte, l3off int, extras []uint32) ([][]byte, error) {
+// The expanded packets are appended to dst, which is returned with
+// len(extras) more entries; the template itself is the first ACK and is
+// not duplicated here. Each packet's buffer comes from frames (nil
+// allocates), so a driver that passes its scratch slice and the run's
+// pool expands templates without allocating.
+func Expand(dst [][]byte, template []byte, l3off int, extras []uint32, frames *buf.FramePool) ([][]byte, error) {
 	if l3off < 0 || len(template) < l3off+20 {
 		return nil, fmt.Errorf("ackoff: template too short (%d bytes, l3off %d)", len(template), l3off)
 	}
@@ -43,17 +47,16 @@ func Expand(template []byte, l3off int, extras []uint32) ([][]byte, error) {
 	l4off := l3off + ihl
 	baseID := binary.BigEndian.Uint16(template[l3off+4:])
 
-	out := make([][]byte, 0, len(extras))
 	for i, ackNum := range extras {
-		cp := make([]byte, len(template))
+		cp := frames.Get(len(template))
 		copy(cp, template)
 		if err := tcpwire.PatchAck(cp[l4off:], ackNum); err != nil {
 			return nil, fmt.Errorf("ackoff: %w", err)
 		}
 		patchIPID(cp[l3off:], baseID+uint16(i)+1)
-		out = append(out, cp)
+		dst = append(dst, cp)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // patchIPID rewrites the IP identification field with an incremental

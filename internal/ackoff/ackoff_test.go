@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/buf"
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/packet"
@@ -25,7 +26,7 @@ func ackTemplate(ack uint32, ipid uint16) []byte {
 func TestExpandProducesPatchedAcks(t *testing.T) {
 	tpl := ackTemplate(1000, 9)
 	extras := []uint32{3896, 6792, 9688}
-	out, err := Expand(tpl, ether.HeaderLen, extras)
+	out, err := Expand(nil, tpl, ether.HeaderLen, extras, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestExpandMatchesIndividuallyBuiltPackets(t *testing.T) {
 	// The §4.2 contract: an expanded ACK must be byte-identical to the
 	// ACK the stack would have built directly (same timestamps assumed).
 	extras := []uint32{2896, 5792}
-	out, err := Expand(ackTemplate(1000, 20), ether.HeaderLen, extras)
+	out, err := Expand(nil, ackTemplate(1000, 20), ether.HeaderLen, extras, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestExpandMatchesIndividuallyBuiltPackets(t *testing.T) {
 func TestExpandDoesNotMutateTemplate(t *testing.T) {
 	tpl := ackTemplate(500, 1)
 	orig := append([]byte{}, tpl...)
-	if _, err := Expand(tpl, ether.HeaderLen, []uint32{600, 700}); err != nil {
+	if _, err := Expand(nil, tpl, ether.HeaderLen, []uint32{600, 700}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tpl, orig) {
@@ -82,7 +83,7 @@ func TestExpandDoesNotMutateTemplate(t *testing.T) {
 }
 
 func TestExpandEmptyExtras(t *testing.T) {
-	out, err := Expand(ackTemplate(1, 1), ether.HeaderLen, nil)
+	out, err := Expand(nil, ackTemplate(1, 1), ether.HeaderLen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +93,15 @@ func TestExpandEmptyExtras(t *testing.T) {
 }
 
 func TestExpandRejectsMalformed(t *testing.T) {
-	if _, err := Expand(make([]byte, 10), ether.HeaderLen, []uint32{1}); err == nil {
+	if _, err := Expand(nil, make([]byte, 10), ether.HeaderLen, []uint32{1}, nil); err == nil {
 		t.Error("expected error for short template")
 	}
-	if _, err := Expand(ackTemplate(1, 1), -1, []uint32{1}); err == nil {
+	if _, err := Expand(nil, ackTemplate(1, 1), -1, []uint32{1}, nil); err == nil {
 		t.Error("expected error for negative offset")
 	}
 	bad := ackTemplate(1, 1)
 	bad[ether.HeaderLen] = 0x41 // IHL 4: malformed
-	if _, err := Expand(bad, ether.HeaderLen, []uint32{1}); err == nil {
+	if _, err := Expand(nil, bad, ether.HeaderLen, []uint32{1}, nil); err == nil {
 		t.Error("expected error for malformed IP header")
 	}
 }
@@ -121,7 +122,7 @@ func TestExpandChecksums_Quick(t *testing.T) {
 		if len(extras) > 32 {
 			extras = extras[:32]
 		}
-		out, err := Expand(ackTemplate(baseAck, ipid), ether.HeaderLen, extras)
+		out, err := Expand(nil, ackTemplate(baseAck, ipid), ether.HeaderLen, extras, nil)
 		if err != nil {
 			return false
 		}
@@ -142,5 +143,37 @@ func TestExpandChecksums_Quick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpandIntoPoolFrames: expanded ACKs built in recycled pool frames
+// (poisoned by their release) are byte-identical to freshly allocated
+// ones, and Expand appends to the caller's slice.
+func TestExpandIntoPoolFrames(t *testing.T) {
+	tpl := ackTemplate(1000, 9)
+	extras := []uint32{3896, 6792, 9688}
+	want, err := Expand(nil, tpl, ether.HeaderLen, extras, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := buf.NewPoisonFramePool()
+	for _, f := range [][]byte{pool.Get(1514), pool.Get(1514)} {
+		pool.Put(f)
+	}
+	dst := [][]byte{tpl}
+	got, err := Expand(dst, tpl, ether.HeaderLen, extras, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1+len(extras) || &got[0][0] != &tpl[0] {
+		t.Fatalf("Expand returned %d frames, want the caller's one plus %d", len(got), len(extras))
+	}
+	for i := range extras {
+		if !bytes.Equal(got[1+i], want[i]) {
+			t.Errorf("pooled ack %d differs from the allocated one", i)
+		}
+	}
+	if pool.Live() != len(extras) {
+		t.Errorf("pool has %d frames out, want %d", pool.Live(), len(extras))
 	}
 }

@@ -296,8 +296,8 @@ func (e *Engine) Input(f nic.Frame) {
 		e.passthrough(f)
 		return
 	}
-	ih, err := ipv4.Parse(l3)
-	if err != nil {
+	var ih ipv4.Header
+	if err := ih.Decode(l3); err != nil {
 		e.stats.RejMalformed++
 		e.passthrough(f)
 		return
@@ -309,8 +309,8 @@ func (e *Engine) Input(f nic.Frame) {
 	}
 
 	seg := l3[ih.IHL:ih.TotalLen]
-	th, err := tcpwire.Parse(seg)
-	if err != nil {
+	var th tcpwire.Header
+	if err := th.Decode(seg); err != nil {
 		e.stats.RejMalformed++
 		e.passthrough(f)
 		return
@@ -484,12 +484,12 @@ func (e *Engine) stitchHeld(p *pending) {
 // held frame (the Limit landed mid-stitch), reparsing its headers.
 func (e *Engine) startHeldFrame(key FlowKey, hf heldFrame) *pending {
 	l3 := hf.frame.Data[ether.HeaderLen:]
-	ih, err := ipv4.Parse(l3)
-	if err != nil {
+	var ih ipv4.Header
+	if err := ih.Decode(l3); err != nil {
 		return nil
 	}
-	th, err := tcpwire.Parse(l3[ih.IHL:ih.TotalLen])
-	if err != nil {
+	var th tcpwire.Header
+	if err := th.Decode(l3[ih.IHL:ih.TotalLen]); err != nil {
 		return nil
 	}
 	e.start(key, hf.frame, &ih, &th, hf.payloadLen)
@@ -728,10 +728,11 @@ func (e *Engine) drainHeldSlice(held []heldFrame) {
 func (e *Engine) stitchDrainRun(run []heldFrame) {
 	head := run[0]
 	l3 := head.frame.Data[ether.HeaderLen:]
-	ih, err := ipv4.Parse(l3)
+	var ih ipv4.Header
 	var th tcpwire.Header
+	err := ih.Decode(l3)
 	if err == nil {
-		th, err = tcpwire.Parse(l3[ih.IHL:ih.TotalLen])
+		err = th.Decode(l3[ih.IHL:ih.TotalLen])
 	}
 	if err != nil {
 		// Defensive: a held frame parsed at hold time, so this cannot

@@ -77,10 +77,16 @@ const TelemetryPackage = "internal/telemetry"
 
 // SchedulerFuncNames are method/function names that schedule simulator
 // events. Calling one from telemetry code, or from inside an unordered map
-// iteration, breaks replay determinism.
+// iteration, breaks replay determinism. Besides the public Sim surface
+// they name the reserved-seq path a link's in-flight FIFO uses: taking a
+// FIFO position (reserveSeq) fixes an event's tie-break order as surely
+// as scheduling it does.
 var SchedulerFuncNames = map[string]bool{
-	"Schedule": true,
-	"After":    true,
+	"Schedule":    true,
+	"After":       true,
+	"reserveSeq":  true, // Sim: take the next FIFO tie-break position
+	"scheduleSeq": true, // Sim: push an event under a reserved position
+	"schedule":    true, // fifoEvents: queue an event behind the FIFO's tail
 }
 
 // PricedTypes names structures whose touches are priced through

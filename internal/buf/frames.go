@@ -34,6 +34,7 @@ var poisonFrame = bytes.Repeat([]byte{poisonByte}, FrameCap)
 // loop, and concurrent runs each build their own topology and pool.
 type FramePool struct {
 	free [][]byte
+	live int // frames handed out by Get and not yet released
 
 	// poison is the test mode: a released frame is overwritten with
 	// poisonByte, a second release panics, and Get panics if a free
@@ -67,6 +68,7 @@ func (p *FramePool) Get(n int) []byte {
 	if p == nil || n > FrameCap {
 		return make([]byte, n)
 	}
+	p.live++
 	k := len(p.free)
 	if k == 0 {
 		return make([]byte, n, FrameCap)
@@ -90,6 +92,7 @@ func (p *FramePool) Put(b []byte) {
 		return
 	}
 	b = b[:FrameCap]
+	p.live--
 	if p.poison {
 		if p.released[&b[0]] {
 			panic("buf: double frame release")
@@ -100,4 +103,15 @@ func (p *FramePool) Put(b []byte) {
 	if len(p.free) < maxFreeFrames {
 		p.free = append(p.free, b)
 	}
+}
+
+// Live returns the number of frames Get has handed out that have not
+// been released since: a leak check for code that owns pool frames. A
+// frame the pool did not make but that has its capacity counts as a
+// release too, so Live can go negative. A nil pool has none out.
+func (p *FramePool) Live() int {
+	if p == nil {
+		return 0
+	}
+	return p.live
 }

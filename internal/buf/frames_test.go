@@ -46,6 +46,25 @@ func TestFramePoolIgnoresForeignFrames(t *testing.T) {
 	}
 }
 
+func TestFramePoolLive(t *testing.T) {
+	p := NewFramePool()
+	a, b := p.Get(64), p.Get(1514)
+	p.Get(FrameCap + 1) // not a pool frame
+	if got := p.Live(); got != 2 {
+		t.Fatalf("Live = %d after two pool Gets, want 2", got)
+	}
+	p.Put(a)
+	p.Put(make([]byte, 64)) // foreign: ignored
+	if got := p.Live(); got != 1 {
+		t.Fatalf("Live = %d after one release, want 1", got)
+	}
+	p.Put(b)
+	p.Get(64) // recycled frames count again
+	if got := p.Live(); got != 1 {
+		t.Fatalf("Live = %d, want 1", got)
+	}
+}
+
 func TestNilFramePool(t *testing.T) {
 	var p *FramePool
 	b := p.Get(60)
@@ -53,6 +72,9 @@ func TestNilFramePool(t *testing.T) {
 		t.Fatalf("nil pool Get length %d", len(b))
 	}
 	p.Put(b) // must not panic
+	if p.Live() != 0 {
+		t.Fatal("nil pool reports frames out")
+	}
 }
 
 func TestPoisonFramePool(t *testing.T) {

@@ -16,49 +16,57 @@ import (
 // final complement. Odd-length buffers are padded with a zero byte, as
 // specified by RFC 1071.
 //
-// The sum is accumulated over 64-bit big-endian words with the carries
-// deferred: each word is added with a plain 64-bit add, the carries out
-// of bit 63 are counted separately, and everything is folded to 16 bits
-// once at the end. This is the RFC 1071 §2 observation that the
-// one's-complement sum may be computed in any word size wider than 16
-// bits (2^16 ≡ 1 mod 0xffff, so every 16-bit lane of a wide word, and
-// every carry out of it, lands on the same residue), and is how Linux's
-// csum_partial sums with add-with-carry over machine words. The result
-// equals the plain 16-bit loop's for every input.
+// The sum is accumulated over native little-endian 64-bit words and
+// byte-swapped once at the end. RFC 1071 §2(B): the one's-complement sum
+// is byte-order independent, so summing the byte-swapped 16-bit words
+// gives the byte-swapped sum, and no load needs a byte swap. The words are
+// added with add-with-carry in a chain of eight per 64-byte block, the
+// carries out of bit 63 counted separately, and everything folded to 16
+// bits once: RFC 1071 §2(C) parallel summation and §2(D) deferred carries
+// (2^16 ≡ 1 mod 0xffff, so every 16-bit lane of a wide word, and every
+// carry out of it, lands on the same residue). This is how Linux's
+// csum_partial sums. The result equals the plain 16-bit big-endian loop's
+// for every input.
 func Sum(b []byte) uint16 {
 	var sum, carries, c uint64
-	for len(b) >= 32 {
-		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), 0)
-		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), c)
-		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), c)
-		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), c)
+	for len(b) >= 64 {
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[0:8]), 0)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[8:16]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[16:24]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[24:32]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[32:40]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[40:48]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[48:56]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[56:64]), c)
 		carries += c
-		b = b[32:]
+		b = b[64:]
 	}
 	for len(b) >= 8 {
-		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[:8]), 0)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[:8]), 0)
 		carries += c
 		b = b[8:]
 	}
-	// The tail is under 8 bytes: its 16-bit words (the odd byte padded on
-	// the right) fit in a 32-bit sum, which cannot overflow.
+	// The tail is under 8 bytes: its 16-bit words fit in a 32-bit sum,
+	// which cannot overflow. In little-endian order the odd byte is the
+	// low byte of its word, which the final swap moves to the high byte:
+	// the RFC's zero pad on the right.
 	var tail uint64
 	if len(b) >= 4 {
-		tail += uint64(binary.BigEndian.Uint32(b[:4]))
+		tail += uint64(binary.LittleEndian.Uint32(b[:4]))
 		b = b[4:]
 	}
 	if len(b) >= 2 {
-		tail += uint64(binary.BigEndian.Uint16(b[:2]))
+		tail += uint64(binary.LittleEndian.Uint16(b[:2]))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		tail += uint64(b[0]) << 8
+		tail += uint64(b[0])
 	}
 	sum, c = bits.Add64(sum, tail, 0)
 	carries += c
 	// 2^32 and 2^64 are both ≡ 1 mod 0xffff: the two halves of the sum and
 	// the deferred carries add up to the same residue, with no overflow.
-	return fold(sum>>32 + sum&0xffffffff + carries)
+	return bits.ReverseBytes16(fold(sum>>32 + sum&0xffffffff + carries))
 }
 
 // Checksum computes the Internet checksum of b: the one's complement of the
@@ -108,15 +116,13 @@ func Update32(old uint16, oldVal, newVal uint32) uint16 {
 
 // PseudoHeaderSum computes the partial sum of the TCP/UDP pseudo-header for
 // the given IPv4 addresses, protocol and transport length, for inclusion in
-// a transport checksum.
+// a transport checksum. It adds the pseudo-header's six 16-bit words
+// directly: source, destination, zero+protocol and length.
 func PseudoHeaderSum(src, dst [4]byte, proto uint8, length int) uint16 {
-	var ph [12]byte
-	copy(ph[0:4], src[:])
-	copy(ph[4:8], dst[:])
-	ph[8] = 0
-	ph[9] = proto
-	binary.BigEndian.PutUint16(ph[10:12], uint16(length))
-	return Sum(ph[:])
+	sum := uint64(binary.BigEndian.Uint16(src[0:2])) + uint64(binary.BigEndian.Uint16(src[2:4])) +
+		uint64(binary.BigEndian.Uint16(dst[0:2])) + uint64(binary.BigEndian.Uint16(dst[2:4])) +
+		uint64(proto) + uint64(uint16(length))
+	return fold(sum)
 }
 
 // TransportChecksum computes the checksum of a transport segment (header +

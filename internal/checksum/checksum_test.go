@@ -50,44 +50,77 @@ func referenceSum(b []byte) uint16 {
 }
 
 // checkAgainstReference compares Sum with referenceSum on b and on its
-// sub-slices at odd start offsets (the NIC and the stack verify slices
-// of frames that begin at arbitrary offsets).
+// sub-slices at every start offset 0..7 (the NIC and the stack verify
+// slices of frames that begin at arbitrary offsets, and the word loads
+// are unaligned at all of them).
 func checkAgainstReference(t *testing.T, b []byte) {
 	t.Helper()
-	for off := 0; off < len(b) && off < 8; off++ {
-		if off > 0 && off%2 == 0 {
-			continue
-		}
+	for off := 0; off < 8 && off <= len(b); off++ {
 		if got, want := Sum(b[off:]), referenceSum(b[off:]); got != want {
-			t.Fatalf("len %d offset %d: Sum = %#04x, reference = %#04x", len(b), off, got, want)
+			t.Fatalf("len %d offset %d: Sum = %#04x, reference = %#04x", len(b)-off, off, got, want)
 		}
-	}
-	if got, want := Sum(b), referenceSum(b); got != want {
-		t.Fatalf("len %d: Sum = %#04x, reference = %#04x", len(b), got, want)
 	}
 }
 
-// TestSumMatchesReference covers every frame length up to a full
-// Ethernet payload, with random bytes and with every byte 0xff (the
-// largest carry load).
+// TestSumMatchesReference covers every start offset 0..7 and every
+// length 0..1600 (past a full Ethernet frame), with random bytes and
+// with every byte 0xff (the largest carry load).
 func TestSumMatchesReference(t *testing.T) {
+	const maxLen, maxOff = 1600, 7
 	rng := rand.New(rand.NewSource(5))
-	ones := bytes.Repeat([]byte{0xff}, 1500)
-	for n := 0; n <= 1500; n++ {
-		b := make([]byte, n)
-		rng.Read(b)
-		checkAgainstReference(t, b)
-		checkAgainstReference(t, ones[:n])
+	random := make([]byte, maxOff+maxLen)
+	rng.Read(random)
+	ones := bytes.Repeat([]byte{0xff}, maxOff+maxLen)
+	for _, buf := range [][]byte{random, ones} {
+		for off := 0; off <= maxOff; off++ {
+			for n := 0; n <= maxLen; n++ {
+				b := buf[off : off+n]
+				if got, want := Sum(b), referenceSum(b); got != want {
+					t.Fatalf("len %d offset %d: Sum = %#04x, reference = %#04x", n, off, got, want)
+				}
+			}
+		}
 	}
 }
 
 // FuzzSum checks Sum against the reference loop on arbitrary bytes and
-// on sub-slices at odd start offsets. The seed corpus (testdata/fuzz)
-// covers the word-boundary lengths, full frames and an all-0xff buffer.
+// on sub-slices at every start offset up to 7. The seed corpus
+// (testdata/fuzz) covers the word-boundary lengths, full frames and an
+// all-0xff buffer.
 func FuzzSum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkAgainstReference(t, b)
 	})
+}
+
+// TestPseudoHeaderSumMatchesSum pins the arithmetic pseudo-header sum to
+// Sum over the serialized 12-byte pseudo-header (RFC 793 §3.1), including
+// lengths that do not fit in 16 bits (the field keeps the low 16).
+func TestPseudoHeaderSumMatchesSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lengths := []int{0, 1, 20, 1480, 0xffff, 0x10000, 0x1fffe}
+	for trial := 0; trial < 2000; trial++ {
+		var src, dst [4]byte
+		rng.Read(src[:])
+		rng.Read(dst[:])
+		if trial == 0 {
+			src, dst = [4]byte{0xff, 0xff, 0xff, 0xff}, [4]byte{0xff, 0xff, 0xff, 0xff}
+		}
+		proto := uint8(rng.Intn(256))
+		length := rng.Intn(0x20000)
+		if trial < len(lengths) {
+			length = lengths[trial]
+		}
+		var ph [12]byte
+		copy(ph[0:4], src[:])
+		copy(ph[4:8], dst[:])
+		ph[9] = proto
+		binary.BigEndian.PutUint16(ph[10:12], uint16(length))
+		if got, want := PseudoHeaderSum(src, dst, proto, length), Sum(ph[:]); got != want {
+			t.Fatalf("src %v dst %v proto %d len %d: PseudoHeaderSum = %#04x, Sum = %#04x",
+				src, dst, proto, length, got, want)
+		}
+	}
 }
 
 func TestSumEmpty(t *testing.T) {

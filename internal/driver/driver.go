@@ -96,6 +96,8 @@ type Driver struct {
 	// scratch is the reusable poll buffer (hot path: one PollRxOn slice
 	// allocation per poll otherwise).
 	scratch []nic.Frame
+	// txScratch is the reusable list of a template's expanded ACKs.
+	txScratch [][]byte
 }
 
 // New creates a driver for queue 0 of n charging m under p.
@@ -179,7 +181,8 @@ func (d *Driver) Poll(budget int) int {
 // Transmit sends an outgoing SKB. Ordinary packets go straight to the NIC.
 // ACK-template SKBs (TemplateAcks non-nil) are expanded here: the template
 // frame is sent as the first ACK, then one patched copy per recorded ACK
-// number (§4.2). The SKB is freed after transmission.
+// number (§4.2), each in a buffer from the run's frame pool that the
+// receiving machine releases. The SKB is freed after transmission.
 func (d *Driver) Transmit(skb *buf.SKB) {
 	frame := skb.Head
 	d.meter.Charge(cycles.Driver, d.params.DriverTxPerPacket)
@@ -187,17 +190,19 @@ func (d *Driver) Transmit(skb *buf.SKB) {
 	d.nic.Transmit(nic.Frame{Data: frame})
 
 	if skb.TemplateAcks != nil {
-		expanded, err := ackoff.Expand(frame, skb.L3Offset, skb.TemplateAcks)
+		expanded, err := ackoff.Expand(d.txScratch[:0], frame, skb.L3Offset, skb.TemplateAcks, d.alloc.Frames)
 		if err != nil {
 			panic(fmt.Sprintf("driver: ack expansion: %v", err))
 		}
-		for _, cp := range expanded {
+		for i, cp := range expanded {
 			d.meter.Charge(cycles.Driver,
 				d.params.AckExpandPerAck+d.params.DriverTxPerPacket)
 			d.stats.TxPackets++
 			d.stats.AcksExpanded++
 			d.nic.Transmit(nic.Frame{Data: cp})
+			expanded[i] = nil
 		}
+		d.txScratch = expanded
 	}
 	d.alloc.Free(skb)
 }

@@ -73,58 +73,79 @@ func (h *Header) PayloadLen() int { return h.TotalLen - h.IHL }
 // Parse decodes the IPv4 header at the front of b. It validates structural
 // invariants (version, IHL, total length) but does not verify the checksum;
 // callers decide when to pay that cost (the aggregation engine verifies it
-// explicitly, §3.1).
+// explicitly, §3.1). It is Decode into a fresh header.
 func Parse(b []byte) (Header, error) {
-	h, err := ParseHeaderOnly(b)
-	if err != nil {
-		return h, err
-	}
-	if h.TotalLen > len(b) {
-		return Header{}, fmt.Errorf("ipv4: total length %d exceeds buffer %d", h.TotalLen, len(b))
+	var h Header
+	if err := h.Decode(b); err != nil {
+		return Header{}, err
 	}
 	return h, nil
+}
+
+// Decode decodes the IPv4 header at the front of b into h, overwriting
+// every field, with Parse's validation. The per-frame callers decode into
+// a header they own instead of copying one out of Parse. After an error h
+// holds no meaningful value.
+func (h *Header) Decode(b []byte) error {
+	if err := h.DecodeHeaderOnly(b); err != nil {
+		return err
+	}
+	if h.TotalLen > len(b) {
+		return fmt.Errorf("ipv4: total length %d exceeds buffer %d", h.TotalLen, len(b))
+	}
+	return nil
 }
 
 // ParseHeaderOnly decodes the IPv4 header without requiring the buffer to
 // contain the full datagram. Aggregated host packets need this: their
 // rewritten total length covers payload held in chained fragments beyond
-// the linear buffer (§3.2).
+// the linear buffer (§3.2). It is DecodeHeaderOnly into a fresh header.
 func ParseHeaderOnly(b []byte) (Header, error) {
+	var h Header
+	if err := h.DecodeHeaderOnly(b); err != nil {
+		return Header{}, err
+	}
+	return h, nil
+}
+
+// DecodeHeaderOnly is ParseHeaderOnly into a header the caller owns:
+// every field of h is overwritten, Options included (nil when the header
+// has none). After an error h holds no meaningful value.
+func (h *Header) DecodeHeaderOnly(b []byte) error {
 	if len(b) < MinHeaderLen {
-		return Header{}, fmt.Errorf("ipv4: packet too short: %d bytes", len(b))
+		return fmt.Errorf("ipv4: packet too short: %d bytes", len(b))
 	}
 	if v := b[0] >> 4; v != 4 {
-		return Header{}, fmt.Errorf("ipv4: bad version %d", v)
+		return fmt.Errorf("ipv4: bad version %d", v)
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < MinHeaderLen {
-		return Header{}, fmt.Errorf("ipv4: bad IHL %d", ihl)
+		return fmt.Errorf("ipv4: bad IHL %d", ihl)
 	}
 	if len(b) < ihl {
-		return Header{}, fmt.Errorf("ipv4: truncated header: have %d, IHL %d", len(b), ihl)
+		return fmt.Errorf("ipv4: truncated header: have %d, IHL %d", len(b), ihl)
 	}
-	h := Header{
-		IHL:      ihl,
-		TOS:      b[1],
-		TotalLen: int(binary.BigEndian.Uint16(b[2:4])),
-		ID:       binary.BigEndian.Uint16(b[4:6]),
-		TTL:      b[8],
-		Proto:    b[9],
-		Checksum: binary.BigEndian.Uint16(b[10:12]),
-	}
+	h.IHL = ihl
+	h.TOS = b[1]
+	h.TotalLen = int(binary.BigEndian.Uint16(b[2:4]))
+	h.ID = binary.BigEndian.Uint16(b[4:6])
 	ff := binary.BigEndian.Uint16(b[6:8])
 	h.DF = ff&flagDF != 0
 	h.MF = ff&flagMF != 0
 	h.FragOffset = int(ff&0x1fff) * 8
-	copy(h.Src[:], b[12:16])
-	copy(h.Dst[:], b[16:20])
+	h.TTL = b[8]
+	h.Proto = b[9]
+	h.Checksum = binary.BigEndian.Uint16(b[10:12])
+	h.Src = Addr(b[12:16])
+	h.Dst = Addr(b[16:20])
+	h.Options = nil
 	if ihl > MinHeaderLen {
 		h.Options = b[MinHeaderLen:ihl]
 	}
 	if h.TotalLen < ihl {
-		return Header{}, fmt.Errorf("ipv4: total length %d below header length %d", h.TotalLen, ihl)
+		return fmt.Errorf("ipv4: total length %d below header length %d", h.TotalLen, ihl)
 	}
-	return h, nil
+	return nil
 }
 
 // Put encodes the header into b (which must have room for h.Len() bytes),

@@ -251,8 +251,8 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	l3 := skb.L3()
 	// Header-only parse: an aggregate's rewritten total length covers
 	// payload chained in fragments beyond the linear buffer.
-	ih, err := ipv4.ParseHeaderOnly(l3)
-	if err != nil || ih.Proto != ipv4.ProtoTCP {
+	var ih ipv4.Header
+	if err := ih.DecodeHeaderOnly(l3); err != nil || ih.Proto != ipv4.ProtoTCP {
 		s.stats.Malformed++
 		s.alloc.Free(skb)
 		return
@@ -267,8 +267,11 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 		segEnd = len(l3)
 	}
 	seg := l3[ih.IHL:segEnd]
-	th, err := tcpwire.Parse(seg)
-	if err != nil {
+	// The TCP header is decoded straight into the segment handed to the
+	// endpoint.
+	var in tcp.Segment
+	th := &in.Hdr
+	if err := th.Decode(seg); err != nil {
 		s.stats.Malformed++
 		s.alloc.Free(skb)
 		return
@@ -325,14 +328,12 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 		fragAcks = append(s.ackScratch[:0], th.Ack)
 	}
 	s.ackScratch = fragAcks
-	ep.Input(tcp.Segment{
-		Hdr:        th,
-		Payloads:   payloads,
-		FragAcks:   fragAcks,
-		NetPackets: skb.NetPackets,
-		Aggregated: skb.Aggregated,
-		SKB:        skb,
-	})
+	in.Payloads = payloads
+	in.FragAcks = fragAcks
+	in.NetPackets = skb.NetPackets
+	in.Aggregated = skb.Aggregated
+	in.SKB = skb
+	ep.Input(in)
 }
 
 // Output transmits one host packet from an endpoint: IP transmit processing

@@ -374,13 +374,13 @@ func (n *NIC) classify(frame []byte) (csumOK bool, hash uint32, tuple FlowTuple,
 	}
 	l3 := frame[ether.HeaderLen:]
 	ipOK := ipv4.VerifyChecksum(l3)
-	ih, err := ipv4.Parse(l3)
-	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.IsFragment() {
+	var ih ipv4.Header
+	if err := ih.Decode(l3); err != nil || ih.Proto != ipv4.ProtoTCP || ih.IsFragment() {
 		return false, 0, tuple, false
 	}
 	seg := l3[ih.IHL:ih.TotalLen]
-	th, err := tcpwire.Parse(seg)
-	if err != nil {
+	var th tcpwire.Header
+	if err := th.Decode(seg); err != nil {
 		return false, 0, tuple, false
 	}
 	tuple = FlowTuple{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}

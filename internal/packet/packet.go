@@ -175,33 +175,41 @@ type Parsed struct {
 }
 
 // Parse dissects a serialized frame built by Build (or received from the
-// simulated wire).
+// simulated wire). It is Decode into a fresh Parsed.
 func Parse(frame []byte) (Parsed, error) {
 	var p Parsed
+	if err := p.Decode(frame); err != nil {
+		return Parsed{}, err
+	}
+	return p, nil
+}
+
+// Decode dissects frame into p, overwriting every field. The headers are
+// decoded in place (ipv4.Header.Decode, tcpwire.Header.Decode), so a
+// Parsed reused for frame after frame copies no header and, once its SACK
+// block array has grown, allocates nothing. Payload and the option fields
+// alias frame. After an error p holds no meaningful value.
+func (p *Parsed) Decode(frame []byte) error {
 	eh, err := ether.Parse(frame)
 	if err != nil {
-		return p, err
+		return err
 	}
 	if eh.Type != ether.TypeIPv4 {
-		return p, fmt.Errorf("packet: not IPv4: type %#04x", eh.Type)
-	}
-	l3 := frame[ether.HeaderLen:]
-	ih, err := ipv4.Parse(l3)
-	if err != nil {
-		return p, err
-	}
-	if ih.Proto != ipv4.ProtoTCP {
-		return p, fmt.Errorf("packet: not TCP: proto %d", ih.Proto)
-	}
-	seg := l3[ih.IHL:ih.TotalLen]
-	th, err := tcpwire.Parse(seg)
-	if err != nil {
-		return p, err
+		return fmt.Errorf("packet: not IPv4: type %#04x", eh.Type)
 	}
 	p.Eth = eh
-	p.IP = ih
-	p.TCP = th
-	p.Payload = seg[th.DataOff:]
-	p.L4Offset = ether.HeaderLen + ih.IHL
-	return p, nil
+	l3 := frame[ether.HeaderLen:]
+	if err := p.IP.Decode(l3); err != nil {
+		return err
+	}
+	if p.IP.Proto != ipv4.ProtoTCP {
+		return fmt.Errorf("packet: not TCP: proto %d", p.IP.Proto)
+	}
+	seg := l3[p.IP.IHL:p.IP.TotalLen]
+	if err := p.TCP.Decode(seg); err != nil {
+		return err
+	}
+	p.Payload = seg[p.TCP.DataOff:]
+	p.L4Offset = ether.HeaderLen + p.IP.IHL
+	return nil
 }

@@ -72,13 +72,19 @@ type Link struct {
 	ReorderDistance int
 
 	busy     bool
-	inFlight int
 	fwdCount int
 	stats    LinkStats
 
 	// wireFreeFn is the pre-bound "serialization finished" event (one
 	// closure for the link's lifetime instead of one per frame).
 	wireFreeFn func()
+
+	// fwd holds the forward frames in flight. Frames on one wire arrive
+	// in transmit order, so one heap entry (the head's) serves them all.
+	fwd *fifoEvents[fwdFrame]
+
+	// ackFree is the free list of reverse-direction carriers.
+	ackFree []*ackCarrier
 
 	// Reorder-injector state: the withheld frame (with its transmit-start
 	// stamp) and how many deliveries remain before it is released.
@@ -141,7 +147,97 @@ func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 		l.busy = false
 		l.transmitNext()
 	}
+	l.fwd = newFIFOEvents(s, l.arrive)
 	return l
+}
+
+// fwdFrame is one forward frame on the wire: its bytes, its transmit
+// start (the StageWire boundary) and the corruption injector's verdict.
+type fwdFrame struct {
+	frame   []byte
+	sentNs  uint64
+	corrupt bool
+}
+
+// fifoEvents is a FIFO of future events whose (at, seq) keys rise in
+// queue order: a wire's frames in flight. schedule reserves each event's
+// seq from the Sim, so every event runs exactly where scheduling it with
+// Schedule would have put it, but only the head has a heap entry. fire,
+// bound once, pops the head, schedules the next one in its reserved slot
+// and hands the popped value to deliver: no closure per event.
+type fifoEvents[T any] struct {
+	sim     *Sim
+	ring    []fifoEvent[T] // power-of-two ring of n events from head
+	head, n int
+	fire    func()
+	deliver func(T)
+}
+
+type fifoEvent[T any] struct {
+	at, seq uint64
+	v       T
+}
+
+func newFIFOEvents[T any](s *Sim, deliver func(T)) *fifoEvents[T] {
+	q := &fifoEvents[T]{sim: s, deliver: deliver}
+	q.fire = q.pop
+	return q
+}
+
+// schedule queues v for delivery at virtual time at, which must not be
+// before the last queued event's.
+func (q *fifoEvents[T]) schedule(at uint64, v T) {
+	if q.n == len(q.ring) {
+		grown := make([]fifoEvent[T], max(1, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = grown, 0
+	}
+	mask := len(q.ring) - 1
+	if q.n > 0 && at < q.ring[(q.head+q.n-1)&mask].at {
+		panic("sim: FIFO event scheduled before its predecessor")
+	}
+	e := &q.ring[(q.head+q.n)&mask]
+	*e = fifoEvent[T]{at: at, seq: q.sim.reserveSeq(), v: v}
+	q.n++
+	if q.n == 1 {
+		q.sim.scheduleSeq(e.at, e.seq, q.fire)
+	}
+}
+
+// len returns the number of queued events.
+func (q *fifoEvents[T]) len() int { return q.n }
+
+// pop is the head event: it schedules the next head, then delivers.
+func (q *fifoEvents[T]) pop() {
+	mask := len(q.ring) - 1
+	v := q.ring[q.head].v
+	q.ring[q.head] = fifoEvent[T]{}
+	q.head = (q.head + 1) & mask
+	q.n--
+	if q.n > 0 {
+		next := &q.ring[q.head]
+		q.sim.scheduleSeq(next.at, next.seq, q.fire)
+	}
+	q.deliver(v)
+}
+
+// ackCarrier is one reverse-direction frame in flight. Its deliver func is
+// bound once, when the carrier is made; a fired carrier goes back to its
+// link's free list. ACKs can arrive out of order (each departs after its
+// own round's CPU time), so each one keeps its own heap entry.
+type ackCarrier struct {
+	l       *Link
+	frame   []byte
+	deliver func()
+}
+
+func (c *ackCarrier) fire() {
+	l, frame := c.l, c.frame
+	c.frame = nil
+	l.ackFree = append(l.ackFree, c)
+	l.sender.ReceiveFrame(frame)
 }
 
 // Stats returns a copy of the link counters.
@@ -185,14 +281,13 @@ func (l *Link) transmitNext() {
 		// interrupt so the tail of a burst is processed immediately
 		// (this is what keeps request/response latency flat, §5.4).
 		l.stats.IdleEvents++
-		if l.inFlight == 0 {
+		if l.fwd.len() == 0 {
 			l.releaseDisplaced()
 			l.dst.FlushInterrupt()
 		}
 		return
 	}
 	l.busy = true
-	l.inFlight++
 	wire := l.wireTimeNs(len(frame))
 	sentNs := l.sim.Now() // transmit start: the frame's StageWire boundary
 	l.spanLane.Record(l.spanTrack, "tx", sentNs, wire)
@@ -200,31 +295,36 @@ func (l *Link) transmitNext() {
 	// receiver one propagation delay later.
 	l.sim.After(wire, l.wireFreeFn)
 	l.fwdCount++
-	corrupt := l.CorruptOneIn > 0 && l.fwdCount%l.CorruptOneIn == 0
-	l.sim.After(wire+l.DelayNs, func() {
-		l.inFlight--
-		if l.dropLost() {
-			// The frame vanishes at the delivery point: wire timing and
-			// backpressure already happened, exactly like corruption.
-			// The idle check below (and the one in transmitNext) is the
-			// wire-idle release discipline — when a drop leaves nothing
-			// in flight and the sender window-limited, the displaced
-			// frame is released and the coalesced interrupt flushed, so
-			// a dropped frame can never strand the ACK clock.
-			l.stats.Lost++
-			l.sender.Frames.Put(frame)
-		} else {
-			if corrupt && len(frame) > 70 {
-				frame[len(frame)-1] ^= 0x01
-				l.stats.Corrupted++
-			}
-			l.deliverForward(frame, sentNs)
-		}
-		if l.inFlight == 0 && !l.busy {
-			l.releaseDisplaced()
-			l.dst.FlushInterrupt()
-		}
+	l.fwd.schedule(sentNs+wire+l.DelayNs, fwdFrame{
+		frame:   frame,
+		sentNs:  sentNs,
+		corrupt: l.CorruptOneIn > 0 && l.fwdCount%l.CorruptOneIn == 0,
 	})
+}
+
+// arrive delivers one forward frame at the receiver edge.
+func (l *Link) arrive(f fwdFrame) {
+	if l.dropLost() {
+		// The frame vanishes at the delivery point: wire timing and
+		// backpressure already happened, exactly like corruption.
+		// The idle check below (and the one in transmitNext) is the
+		// wire-idle release discipline — when a drop leaves nothing
+		// in flight and the sender window-limited, the displaced
+		// frame is released and the coalesced interrupt flushed, so
+		// a dropped frame can never strand the ACK clock.
+		l.stats.Lost++
+		l.sender.Frames.Put(f.frame)
+	} else {
+		if f.corrupt && len(f.frame) > 70 {
+			f.frame[len(f.frame)-1] ^= 0x01
+			l.stats.Corrupted++
+		}
+		l.deliverForward(f.frame, f.sentNs)
+	}
+	if l.fwd.len() == 0 && !l.busy {
+		l.releaseDisplaced()
+		l.dst.FlushInterrupt()
+	}
 }
 
 // lossEnabled reports whether either loss arm is configured.
@@ -340,7 +440,14 @@ func (l *Link) DeliverReverse(frame []byte) { l.DeliverReverseDelayed(frame, 0) 
 // leaves the receiver (CPU processing time of the round that produced it).
 func (l *Link) DeliverReverseDelayed(frame []byte, extraNs uint64) {
 	l.stats.ReverseFrames++
-	l.sim.After(extraNs+l.DelayNs, func() {
-		l.sender.ReceiveFrame(frame)
-	})
+	var c *ackCarrier
+	if n := len(l.ackFree); n > 0 {
+		c = l.ackFree[n-1]
+		l.ackFree = l.ackFree[:n-1]
+	} else {
+		c = &ackCarrier{l: l}
+		c.deliver = c.fire
+	}
+	c.frame = frame
+	l.sim.After(extraNs+l.DelayNs, c.deliver)
 }

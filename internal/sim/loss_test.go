@@ -142,3 +142,66 @@ func runLossPropertyCase(t *testing.T, sys SystemKind) {
 		t.Errorf("%d frames still parked after full flush", got)
 	}
 }
+
+// TestOOOQueueRelease drives the receivers' out-of-order queues through
+// both of their release points under the poison frame pool this
+// package's tests run with: heavy SACK loss plus reordering makes the
+// queue drain (each copy goes back to the pool once delivered) and makes
+// senders retransmit segments the receiver already holds out of order
+// (SACK blocks beyond the three an ACK carries are forgotten), whose
+// copies are released undelivered. A queued copy read after its release
+// would deliver 0xA5 bytes instead of the pattern; releasing one twice
+// panics.
+func TestOOOQueueRelease(t *testing.T) {
+	for _, sys := range []SystemKind{SystemNativeUP, SystemXen} {
+		t.Run(sys.String(), func(t *testing.T) {
+			cfg := DefaultStreamConfig(sys, OptFull)
+			cfg.NICs = 2
+			cfg.Connections = 4
+			cfg.SACK = true
+			cfg.Loss = LossConfig{OneIn: 10, Seed: 3}
+			cfg.Reorder = ReorderConfig{OneIn: 8, Distance: 3}
+			cfg.DurationNs = 40_000_000
+			cfg.WarmupNs = 10_000_000
+			top, err := buildStream(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps := top.machine.Endpoints()
+			pos := make([]uint32, len(eps))
+			bad := make([]int, len(eps))
+			for i, ep := range eps {
+				pos[i] = ep.RcvNxt()
+				ep.AppSink = func(b []byte) {
+					want := make([]byte, len(b))
+					PatternPayload(pos[i], want)
+					for j := range b {
+						if b[j] != want[j] {
+							bad[i]++
+						}
+					}
+					pos[i] += uint32(len(b))
+				}
+			}
+			top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
+
+			var queued, dups uint64
+			for i, ep := range eps {
+				queued += ep.Stats().OOOSegs
+				dups += ep.Stats().OOODups
+				if bad[i] != 0 {
+					t.Errorf("endpoint %d: %d bytes deviated from the in-order pattern", i, bad[i])
+				}
+				if pos[i] == ep.Config().IRS {
+					t.Errorf("endpoint %d delivered nothing", i)
+				}
+			}
+			if queued == 0 {
+				t.Fatal("no segment was queued out of order: the drain release is not exercised")
+			}
+			if dups == 0 {
+				t.Fatal("no out-of-order copy was released as a duplicate: that release is not exercised")
+			}
+		})
+	}
+}

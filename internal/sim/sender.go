@@ -11,6 +11,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/packet"
 	"repro/internal/tcp"
+	"repro/internal/tcpwire"
 	"repro/internal/telemetry"
 )
 
@@ -56,6 +57,14 @@ type SenderMachine struct {
 	rrLeft  int
 	pending [][]byte // retransmissions and pure-ACK frames awaiting the link
 
+	// rx is ReceiveFrame's scratch, made on the first arrival.
+	rx *senderRx
+
+	// The connections' retransmit and pure-ACK output hooks, bound once
+	// and shared by every connection.
+	onRetransmit func([]byte)
+	output       func(*buf.SKB)
+
 	paceBlocked []*senderConn // conns held back by pacing this NextFrame
 	wakeAt      uint64        // deadline of the armed pacing wake (0 = none)
 	wakeSeq     uint64        // invalidates superseded wake events
@@ -63,6 +72,15 @@ type SenderMachine struct {
 	// OnWindowOpen is invoked when an ACK arrival may have opened a
 	// window (the link uses it to resume pulling).
 	OnWindowOpen func()
+}
+
+// senderRx is a sender machine's receive scratch, reused frame after
+// frame: the SACK block array decoded ACKs share, and the one-element
+// FragAcks and payload list of the segment handed to the endpoint.
+type senderRx struct {
+	sack    []tcpwire.SACKBlock
+	ack     [1]uint32
+	payload [1][]byte
 }
 
 type senderConn struct {
@@ -110,6 +128,8 @@ func NewSender(s *Sim, quantum int) *SenderMachine {
 		byPort:  make(map[uint16]*senderConn),
 	}
 	m.alloc = buf.NewAllocator(&m.meter, &m.params)
+	m.onRetransmit = m.queueRetransmit
+	m.output = m.queueAck
 	return m
 }
 
@@ -187,23 +207,27 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 		return nil, err
 	}
 	ep.SetRecoveryRecorder(m.RecoveryRec)
-	ep.OnRetransmit = func(f []byte) {
-		m.pending = append(m.pending, f)
-		m.kick()
-	}
-	// Pure ACKs from the sender's receive half (it receives only ACKs in
-	// stream mode, but the RR client receives data) go out as frames.
-	ep.Output = func(skb *buf.SKB) {
-		frame := make([]byte, len(skb.Head))
-		copy(frame, skb.Head)
-		m.pending = append(m.pending, frame)
-		m.alloc.Free(skb)
-		m.kick()
-	}
+	ep.OnRetransmit = m.onRetransmit
+	ep.Output = m.output
 	c := &senderConn{ep: ep, localPort: localPort}
 	m.conns = append(m.conns, c)
 	m.byPort[localPort] = c
 	return ep, nil
+}
+
+// queueRetransmit queues a connection's retransmitted frame for the link.
+func (m *SenderMachine) queueRetransmit(f []byte) {
+	m.pending = append(m.pending, f)
+	m.kick()
+}
+
+// queueAck queues a pure ACK from a connection's receive half (it
+// receives only ACKs in stream mode, but the RR client receives data).
+// An ACK SKB does not own its frame, so the frame outlives the SKB.
+func (m *SenderMachine) queueAck(skb *buf.SKB) {
+	m.pending = append(m.pending, skb.Head)
+	m.alloc.Free(skb)
+	m.kick()
 }
 
 func (m *SenderMachine) kick() {
@@ -353,9 +377,26 @@ func (m *SenderMachine) scheduleWake() {
 
 // ReceiveFrame processes a frame arriving from the receiver (ACKs; data in
 // RR mode). Parsing happens on the sender's CPU, which is free by
-// construction.
+// construction. The frame is consumed here: once the endpoint has
+// processed it (the OOO queue copies what it keeps), it goes back to the
+// run's frame pool.
 func (m *SenderMachine) ReceiveFrame(frame []byte) {
-	p, err := packet.Parse(frame)
+	m.receive(frame)
+	m.Frames.Put(frame)
+}
+
+// receive hands one arriving frame to its connection. The frame is
+// decoded in place; its SACK blocks, one-element FragAcks and payload
+// list live in the machine's scratch, reused frame after frame.
+func (m *SenderMachine) receive(frame []byte) {
+	if m.rx == nil {
+		m.rx = new(senderRx)
+	}
+	rx := m.rx
+	var p packet.Parsed
+	p.TCP.SACKBlocks = rx.sack
+	err := p.Decode(frame)
+	rx.sack = p.TCP.SACKBlocks
 	if err != nil {
 		return // corrupt frames are simply ignored by the sender model
 	}
@@ -363,13 +404,15 @@ func (m *SenderMachine) ReceiveFrame(frame []byte) {
 	if !ok {
 		return
 	}
+	rx.ack[0] = p.TCP.Ack
 	seg := tcp.Segment{
 		Hdr:        p.TCP,
-		FragAcks:   []uint32{p.TCP.Ack},
+		FragAcks:   rx.ack[:],
 		NetPackets: 1,
 	}
 	if len(p.Payload) > 0 {
-		seg.Payloads = [][]byte{p.Payload}
+		rx.payload[0] = p.Payload
+		seg.Payloads = rx.payload[:]
 	}
 	c.ep.Input(seg)
 	m.kick()

@@ -19,6 +19,7 @@ package tcp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/cost"
@@ -129,7 +130,11 @@ type Stats struct {
 	// OOOPeak is the high-water mark of the out-of-order queue in
 	// segments — the OOO-queue pressure signal the receive-side
 	// resequencing window is meant to relieve.
-	OOOPeak          uint64
+	OOOPeak uint64
+	// OOODups counts out-of-order copies released undelivered: a segment
+	// already queued at its sequence number, or one the drain found
+	// wholly covered by data delivered before it.
+	OOODups          uint64
 	BadCsum          uint64
 	AcksIn           uint64
 	DupAcksIn        uint64
@@ -364,7 +369,7 @@ func (e *Endpoint) Input(seg Segment) {
 		e.meter.Charge(cycles.Rx, uint64(seg.NetPackets)*e.params.TCPRxPerFrag)
 	}
 
-	hdr := seg.Hdr
+	hdr := &seg.Hdr
 
 	// Send-side processing: one ACK event per constituent network packet
 	// (§3.4 item 1). FragAcks is never empty for well-formed segments.
@@ -497,7 +502,7 @@ func (e *Endpoint) receiveRun(seq uint32, run []byte) {
 		// Future data: queue and dup-ACK (fast-retransmit trigger
 		// for the peer).
 		e.stats.OOOSegs++
-		e.queueOOO(seq, [][]byte{run})
+		e.queueOOO(seq, run)
 		e.queueAck(e.rcvNxt)
 	}
 }
@@ -599,6 +604,9 @@ func (e *Endpoint) buildAck(ackNum uint32) *buf.SKB {
 			e.stats.SACKBlocksOut += uint64(n)
 		}
 	}
+	// The frame comes from the run's pool; the machine that receives the
+	// ACK releases it once it has processed it.
+	spec.Frames = e.alloc.Frames
 	frame := packet.MustBuild(spec)
 	skb := e.alloc.NewAck(frame, ether.HeaderLen)
 	return skb
@@ -674,35 +682,32 @@ func (e *Endpoint) output(skb *buf.SKB) {
 	e.Output(skb)
 }
 
-// queueOOO inserts payload runs into the out-of-order queue, recording
-// each range in the SACK block list.
-func (e *Endpoint) queueOOO(seq uint32, runs [][]byte) {
-	s := seq
-	for _, run := range runs {
-		if len(run) == 0 {
-			continue
-		}
-		cp := append([]byte(nil), run...)
-		e.insertOOO(oooSegment{seq: s, data: cp})
-		e.noteSACK(s, s+uint32(len(run)))
-		s += uint32(len(run))
-	}
+// queueOOO copies one out-of-order payload run into a buffer from the
+// run's frame pool, inserts it into the out-of-order queue and records
+// the range in the SACK block list. The copy goes back to the pool when
+// the queue drains it or finds it a duplicate.
+func (e *Endpoint) queueOOO(seq uint32, run []byte) {
+	cp := e.alloc.Frames.Get(len(run))
+	copy(cp, run)
+	e.insertOOO(oooSegment{seq: seq, data: cp})
+	e.noteSACK(seq, seq+uint32(len(run)))
 }
 
-// insertOOO keeps the queue sorted by sequence number, dropping exact
-// duplicates.
+// insertOOO keeps the queue sorted by sequence number, dropping (and
+// releasing) exact duplicates. The queue grows in place.
 func (e *Endpoint) insertOOO(seg oooSegment) {
-	for i, q := range e.ooo {
-		if seg.seq == q.seq {
+	i := 0
+	for ; i < len(e.ooo); i++ {
+		if seg.seq == e.ooo[i].seq {
+			e.stats.OOODups++
+			e.alloc.Frames.Put(seg.data)
 			return
 		}
-		if seqLT(seg.seq, q.seq) {
-			e.ooo = append(e.ooo[:i], append([]oooSegment{seg}, e.ooo[i:]...)...)
-			e.notePeakOOO()
-			return
+		if seqLT(seg.seq, e.ooo[i].seq) {
+			break
 		}
 	}
-	e.ooo = append(e.ooo, seg)
+	e.ooo = slices.Insert(e.ooo, i, seg)
 	e.notePeakOOO()
 }
 
@@ -713,22 +718,31 @@ func (e *Endpoint) notePeakOOO() {
 	}
 }
 
-// drainOOO delivers queued segments made contiguous by new in-order data.
+// drainOOO delivers queued segments made contiguous by new in-order data,
+// releasing each one's buffer, and slides the rest of the queue to the
+// front of its array.
 func (e *Endpoint) drainOOO() {
-	for len(e.ooo) > 0 {
-		q := e.ooo[0]
+	n := 0
+	for ; n < len(e.ooo); n++ {
+		q := e.ooo[n]
 		if seqGT(q.seq, e.rcvNxt) {
-			return
+			break
 		}
-		e.ooo = e.ooo[1:]
-		if end := q.seq + uint32(len(q.data)); seqLEQ(end, e.rcvNxt) {
-			continue // fully duplicate
+		if end := q.seq + uint32(len(q.data)); seqGT(end, e.rcvNxt) {
+			skip := e.rcvNxt - q.seq // overlap with already-received bytes
+			run := q.data[skip:]
+			e.deliverToApp(run)
+			e.rcvNxt += uint32(len(run))
+			e.countSegmentForAck(len(run), e.rcvNxt)
+		} else {
+			e.stats.OOODups++ // wholly covered already
 		}
-		skip := e.rcvNxt - q.seq // overlap with already-received bytes
-		run := q.data[skip:]
-		e.deliverToApp(run)
-		e.rcvNxt += uint32(len(run))
-		e.countSegmentForAck(len(run), e.rcvNxt)
+		e.alloc.Frames.Put(q.data)
+	}
+	if n > 0 {
+		k := copy(e.ooo, e.ooo[n:])
+		clear(e.ooo[k:])
+		e.ooo = e.ooo[:k]
 	}
 }
 

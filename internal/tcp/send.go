@@ -395,7 +395,9 @@ func (e *Endpoint) SendDataSKB(maxPayload int) bool {
 
 // popRtx discards retransmit entries fully covered by ackNum (payload
 // bytes plus the FIN's sequence number), releasing their scoreboard
-// bytes.
+// bytes. The live entries slide to the front of the array in place, so
+// once the array holds the largest window, sending and acknowledging
+// allocate nothing.
 func (e *Endpoint) popRtx(ackNum uint32) {
 	i := 0
 	for ; i < len(e.rtx); i++ {
@@ -406,7 +408,9 @@ func (e *Endpoint) popRtx(ackNum uint32) {
 			e.sackedBytes -= int(e.rtx[i].seqLen())
 		}
 	}
-	e.rtx = e.rtx[i:]
+	if i > 0 {
+		e.rtx = e.rtx[:copy(e.rtx, e.rtx[i:])]
+	}
 }
 
 // retransmitOne rebuilds and resends the earliest unacknowledged segment

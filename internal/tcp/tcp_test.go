@@ -221,6 +221,49 @@ func TestOOOPartialOverlapDrain(t *testing.T) {
 	env.freeOut()
 }
 
+// TestOOOCopiesReleasedToPool checks the out-of-order queue's buffer
+// lifecycle against a poison pool: each queued run is copied into a pool
+// buffer (the caller's bytes may change afterwards), and every copy goes
+// back exactly once — on delivery by the drain, as an exact duplicate at
+// insert, or as a copy the drain finds wholly covered.
+func TestOOOCopiesReleasedToPool(t *testing.T) {
+	env := newEnv(t, nil)
+	pool := buf.NewPoisonFramePool()
+	env.alloc.Frames = pool
+	// ACKs are built in pool frames as well; release each one at once,
+	// as the machine receiving it would.
+	env.ep.Output = func(s *buf.SKB) {
+		pool.Put(s.Head)
+		env.alloc.Free(s)
+	}
+	var got bytes.Buffer
+	env.ep.AppSink = func(b []byte) { got.Write(b) }
+
+	c := []byte("cccc")
+	env.ep.Input(dataSeg(1, 1, []byte("aaaa")))
+	env.ep.Input(dataSeg(9, 1, c))               // queued: hole at 5
+	env.ep.Input(dataSeg(9, 1, []byte("cccc")))  // exact duplicate: released
+	env.ep.Input(dataSeg(13, 1, []byte("dddd"))) // queued
+	env.ep.Input(dataSeg(10, 1, []byte("cc")))   // queued, covered by [9,13)
+	copy(c, "XXXX")                              // the queue holds its own copy
+	if got, want := env.ep.Stats().OOODups, uint64(1); got != want {
+		t.Fatalf("OOODups before the drain = %d, want %d", got, want)
+	}
+	if got, want := pool.Live(), 3; got != want {
+		t.Fatalf("pool frames out before the drain = %d, want %d (the queued copies)", got, want)
+	}
+	env.ep.Input(dataSeg(5, 1, []byte("bbbb"))) // fills the hole: drain
+	if got.String() != "aaaabbbbccccdddd" {
+		t.Errorf("app stream = %q, want aaaabbbbccccdddd", got.String())
+	}
+	if got, want := env.ep.Stats().OOODups, uint64(2); got != want {
+		t.Errorf("OOODups = %d, want %d", got, want)
+	}
+	if got := pool.Live(); got != 0 {
+		t.Errorf("pool frames out after the drain = %d, want 0", got)
+	}
+}
+
 func TestAggregatedSegmentDelivery(t *testing.T) {
 	env := newEnv(t, nil)
 	payloads := [][]byte{mss(1448), mss(1448), mss(1448), mss(1448)}

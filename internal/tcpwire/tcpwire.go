@@ -82,38 +82,51 @@ type Header struct {
 	rawOptions []byte
 }
 
-// Parse decodes the TCP header at the front of b.
+// Parse decodes the TCP header at the front of b. It is Decode into a
+// fresh header.
 func Parse(b []byte) (Header, error) {
+	var h Header
+	if err := h.Decode(b); err != nil {
+		return Header{}, err
+	}
+	return h, nil
+}
+
+// Decode decodes the TCP header at the front of b into h, overwriting
+// every field. The option fields are reset first, and SACKBlocks keeps its
+// backing array, so a header decoded again and again (the per-frame
+// callers') stops allocating for SACK blocks once it has seen the most it
+// will hold. The blocks and the raw options alias h and b until the next
+// Decode. After an error h holds no meaningful value.
+func (h *Header) Decode(b []byte) error {
 	if len(b) < MinHeaderLen {
-		return Header{}, fmt.Errorf("tcpwire: segment too short: %d bytes", len(b))
+		return fmt.Errorf("tcpwire: segment too short: %d bytes", len(b))
 	}
 	off := int(b[12]>>4) * 4
 	if off < MinHeaderLen {
-		return Header{}, fmt.Errorf("tcpwire: bad data offset %d", off)
+		return fmt.Errorf("tcpwire: bad data offset %d", off)
 	}
 	if len(b) < off {
-		return Header{}, fmt.Errorf("tcpwire: truncated header: have %d, offset %d", len(b), off)
+		return fmt.Errorf("tcpwire: truncated header: have %d, offset %d", len(b), off)
 	}
-	h := Header{
-		SrcPort:  binary.BigEndian.Uint16(b[0:2]),
-		DstPort:  binary.BigEndian.Uint16(b[2:4]),
-		Seq:      binary.BigEndian.Uint32(b[4:8]),
-		Ack:      binary.BigEndian.Uint32(b[8:12]),
-		DataOff:  off,
-		Flags:    b[13] & 0x3f,
-		Window:   binary.BigEndian.Uint16(b[14:16]),
-		Checksum: binary.BigEndian.Uint16(b[16:18]),
-		Urgent:   binary.BigEndian.Uint16(b[18:20]),
-	}
+	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
+	h.DstPort = binary.BigEndian.Uint16(b[2:4])
+	h.Seq = binary.BigEndian.Uint32(b[4:8])
+	h.Ack = binary.BigEndian.Uint32(b[8:12])
+	h.DataOff = off
+	h.Flags = b[13] & 0x3f
+	h.Window = binary.BigEndian.Uint16(b[14:16])
+	h.Checksum = binary.BigEndian.Uint16(b[16:18])
+	h.Urgent = binary.BigEndian.Uint16(b[18:20])
+	h.HasTimestamp, h.TSVal, h.TSEcr = false, 0, 0
+	h.SACKBlocks = h.SACKBlocks[:0]
+	h.TimestampOnly, h.OtherOptions = false, false
+	h.rawOptions = nil
 	if off > MinHeaderLen {
 		h.rawOptions = b[MinHeaderLen:off]
-		if err := h.parseOptions(); err != nil {
-			return Header{}, err
-		}
-	} else {
-		h.TimestampOnly = false
+		return h.parseOptions()
 	}
-	return h, nil
+	return nil
 }
 
 // parseOptions walks the option bytes, recording timestamp values and

@@ -504,16 +504,16 @@ func (m *Machine) nicOf(k netstack.FlowKey) int {
 // headers (netback's rule lookup); ok is false for non-TCP traffic.
 func flowTupleOf(skb *buf.SKB) (nic.FlowTuple, bool) {
 	l3 := skb.L3()
-	ih, err := ipv4.ParseHeaderOnly(l3)
-	if err != nil || ih.Proto != ipv4.ProtoTCP {
+	var ih ipv4.Header
+	if err := ih.DecodeHeaderOnly(l3); err != nil || ih.Proto != ipv4.ProtoTCP {
 		return nic.FlowTuple{}, false
 	}
 	segEnd := ih.TotalLen
 	if segEnd > len(l3) {
 		segEnd = len(l3)
 	}
-	th, err := tcpwire.Parse(l3[ih.IHL:segEnd])
-	if err != nil {
+	var th tcpwire.Header
+	if err := th.Decode(l3[ih.IHL:segEnd]); err != nil {
 		return nic.FlowTuple{}, false
 	}
 	return nic.FlowTuple{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}, true
