@@ -28,6 +28,7 @@ var DeterministicPackages = []string{
 	"internal/cycles",
 	"internal/driver",
 	"internal/ether",
+	"internal/experiments",
 	"internal/ipv4",
 	"internal/memmodel",
 	"internal/netstack",
