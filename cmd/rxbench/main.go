@@ -122,9 +122,20 @@ type runRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
+// rrRecord is one request/response run's machine-readable result.
+type rrRecord struct {
+	Experiment     string  `json:"experiment"`
+	System         string  `json:"system"`
+	Opt            string  `json:"opt"`
+	RequestsPerSec float64 `json:"requests_per_sec"`
+	Error          string  `json:"error,omitempty"`
+}
+
 var (
 	curExperiment string
-	records       []runRecord
+	// records holds the -json report: runRecords and rrRecords in run
+	// order.
+	records []any
 	// pointFailures counts points that failed (reported in-table and in
 	// JSON rather than aborting the experiment; nonzero exit at the end).
 	pointFailures int
@@ -276,9 +287,13 @@ func streamMany(pts []experiments.Point) []experiments.Result {
 		}
 		if pt.Stream != nil {
 			record(*pt.Stream, results[i].Stream, err)
-		} else if err != nil {
-			records = append(records, runRecord{Experiment: curExperiment, System: pt.RR.System.String(), Opt: pt.RR.Opt.String(), Error: err.Error()})
+			continue
 		}
+		r := rrRecord{curExperiment, pt.RR.System.String(), pt.RR.Opt.String(), results[i].RR.RequestsPerSec, ""}
+		if err != nil {
+			r.Error = err.Error()
+		}
+		records = append(records, r)
 	}
 	return results
 }

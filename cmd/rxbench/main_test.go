@@ -6,6 +6,7 @@ import (
 	"flag"
 	"log"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,5 +70,32 @@ func TestFailedPointDoesNotAbortTheExperiment(t *testing.T) {
 	}
 	if n := strings.Count(stderr.String(), "FAILED"); n != 1 {
 		t.Errorf("table reports %d FAILED rows, want 1:\n%s", n, stderr.String())
+	}
+}
+
+// TestTable1JSON checks that Table 1's request/response runs reach the
+// -json report: one record per system and receive path.
+func TestTable1JSON(t *testing.T) {
+	setFlags(t, "json", "true")
+	table1, _ := experiments.Lookup("table1")
+	var stdout, stderr bytes.Buffer
+	if code := run([]experiments.Entry{table1}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d:\n%s", code, stderr.String())
+	}
+	var recs []rrRecord
+	if err := json.Unmarshal(stdout.Bytes(), &recs); err != nil {
+		t.Fatalf("decoding -json output: %v", err)
+	}
+	var got []string
+	for _, r := range recs {
+		if r.Experiment != "table1" || r.RequestsPerSec <= 0 || r.Error != "" {
+			t.Errorf("record %+v: want a completed table1 run", r)
+		}
+		got = append(got, r.System+"/"+r.Opt)
+	}
+	want := []string{"Linux UP/Original", "Linux UP/Optimized", "Linux SMP/Original",
+		"Linux SMP/Optimized", "Xen/Original", "Xen/Optimized"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("records for %q, want %q", got, want)
 	}
 }
