@@ -247,8 +247,8 @@ func writeMemProfile() {
 	}
 }
 
-// streamMany runs an experiment's points, fanned out over -parallel
-// worker goroutines (each run builds its own topology, so points share
+// streamMany runs an experiment's points, at most -parallel at a time on
+// their own goroutines (each run builds its own topology, so points share
 // nothing). Results and JSON records keep the input order whatever the
 // completion order was. A failed point does not abort the experiment: its
 // error is logged, recorded in the JSON report and reported in the table

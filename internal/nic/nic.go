@@ -232,7 +232,7 @@ func (n *NIC) RxFramesOn(q int) uint64 { return n.rxq[q].rxFrames }
 
 // CanAccept reports whether every receive ring has room for another
 // frame. The link model uses it to apply pause-frame backpressure instead
-// of dropping (DESIGN.md §5.7); pause frames stop the whole link, so one
+// of dropping; pause frames stop the whole link, so one
 // full queue pauses the port.
 func (n *NIC) CanAccept() bool { return !n.RxNearFull(1) }
 

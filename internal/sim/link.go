@@ -13,10 +13,10 @@ import (
 // the receiver ring has headroom, the link asks the sender for its next
 // frame and occupies the wire for the frame's serialization time. When the
 // ring is near-full the link pauses (IEEE 802.3x-style backpressure)
-// instead of dropping — the lossless LAN regime of the paper's testbed
-// (DESIGN.md §5.7). The reverse (ACK) direction is delivered after the
-// propagation delay without rate limiting: ACK volume is under 5% of link
-// capacity and never contends in these workloads.
+// instead of dropping — the lossless LAN regime of the paper's testbed.
+// The reverse (ACK) direction is delivered after the propagation delay
+// without rate limiting: ACK volume is under 5% of link capacity and
+// never contends in these workloads.
 type Link struct {
 	sim    *Sim
 	sender *SenderMachine

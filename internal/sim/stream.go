@@ -302,7 +302,7 @@ type StreamResult struct {
 	// ThroughputMbps is application goodput over the measured interval.
 	ThroughputMbps float64
 	// CPUUtil is receiver busy cycles / available cycles (one core
-	// serializes the receive path; see DESIGN.md §5.5).
+	// serializes the receive path).
 	CPUUtil float64
 	// CyclesPerPacket is charged cycles per network frame.
 	CyclesPerPacket float64

@@ -11,8 +11,9 @@
 // prefetching (the paper's §2 architectural argument).
 //
 // This facade exposes the experiment runners that regenerate every table
-// and figure of the paper's evaluation; see EXPERIMENTS.md for the
-// paper-vs-measured record and DESIGN.md for the substitution rationale.
+// and figure of the paper's evaluation. The experiments themselves are the
+// registry in internal/experiments, which cmd/rxbench and the benchmarks
+// run; ARCHITECTURE.md describes the receive pipeline and the simulator.
 //
 // Quick start:
 //
