@@ -30,7 +30,7 @@ func BenchmarkExperiments(b *testing.B) {
 			p := experiments.Params{Queues: []int{1, 2, 4, 8}, WarmupNs: 25_000_000, DurationNs: 50_000_000}
 			if sysName != "" {
 				name += "/" + sysName
-				p.System, _ = ParseSystem(sysName)
+				p.System, _ = ParseSystem(sysName) // one of the two names above
 			}
 			b.Run(name, func(b *testing.B) {
 				var pts []experiments.Point
