@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cost"
@@ -208,19 +209,19 @@ func (r *epRegistry) handleOf(ep *tcp.Endpoint) uint32 {
 	return uint32(len(r.eps))
 }
 
-// retain adds a reference to h, binding it to ep first when h is new (h
-// must come from handleOf(ep) with no registry change in between).
-func (r *epRegistry) retain(h uint32, ep *tcp.Endpoint) {
+// retain adds n references to h, binding it to ep first when h is new
+// (h must come from handleOf(ep) with no registry change in between).
+func (r *epRegistry) retain(h uint32, ep *tcp.Endpoint, n uint32) {
 	if int(h) < len(r.eps) && r.refs[h] > 0 {
-		r.refs[h]++
+		r.refs[h] += n
 		return
 	}
 	if int(h) == len(r.eps) {
 		r.eps = append(r.eps, ep)
-		r.refs = append(r.refs, 1)
+		r.refs = append(r.refs, n)
 	} else {
 		r.free = r.free[:len(r.free)-1]
-		r.eps[h], r.refs[h] = ep, 1
+		r.eps[h], r.refs[h] = ep, n
 	}
 	if r.ids == nil {
 		r.ids = make(map[*tcp.Endpoint]uint32)
@@ -339,12 +340,13 @@ func openProbeLines(probes int) int {
 	return 1 + (probes-1)/2
 }
 
-// charge prices one structural touch through the capacity model.
-func (t *FlowTable) charge(cat cycles.Category, lines int) {
+// charge prices one structural touch into a table of footprint bytes
+// through the capacity model.
+func (t *FlowTable) charge(cat cycles.Category, lines int, footprint uint64) {
 	if t.meter == nil || lines == 0 {
 		return
 	}
-	c := t.touchCost(lines)
+	c := t.touchCostAt(lines, footprint)
 	if c == 0 {
 		return
 	}
@@ -352,32 +354,33 @@ func (t *FlowTable) charge(cat cycles.Category, lines int) {
 	t.demuxCycles += c
 }
 
-// touchCost returns CapacityTouchCost(lines, t.bytes), computed once per
-// line count for each footprint: the footprint only changes on growth
+// touchCostAt returns CapacityTouchCost(lines, footprint), computed once
+// per line count for each footprint: the footprint only changes on growth
 // (open layout) or mutation (map layout), while every insert and lookup
 // charges at it.
-func (t *FlowTable) touchCost(lines int) uint64 {
+func (t *FlowTable) touchCostAt(lines int, footprint uint64) uint64 {
 	if lines >= len(t.touchCosts) {
-		return t.params.Mem.CapacityTouchCost(lines, t.bytes)
+		return t.params.Mem.CapacityTouchCost(lines, footprint)
 	}
-	if t.touchBytes != t.bytes {
-		t.touchBytes, t.touchKnown = t.bytes, 0
+	if t.touchBytes != footprint {
+		t.touchBytes, t.touchKnown = footprint, 0
 	}
 	if bit := uint16(1) << lines; t.touchKnown&bit == 0 {
-		t.touchCosts[lines] = t.params.Mem.CapacityTouchCost(lines, t.bytes)
+		t.touchCosts[lines] = t.params.Mem.CapacityTouchCost(lines, footprint)
 		t.touchKnown |= bit
 	}
 	return t.touchCosts[lines]
 }
 
 // chargeGrow prices a shard growth rehash: a sequential sweep of the old
-// and new slot arrays, scaled by the table's capacity cold fraction
-// (zero while the table fits in cache, like every structural charge).
-func (t *FlowTable) chargeGrow(oldSlots, newSlots int) {
+// and new slot arrays, scaled by the capacity cold fraction of a table of
+// footprint bytes (zero while the table fits in cache, like every
+// structural charge).
+func (t *FlowTable) chargeGrow(oldSlots, newSlots int, footprint uint64) {
 	if t.meter == nil {
 		return
 	}
-	c := t.params.Mem.CapacityStreamCost((oldSlots+newSlots)*FlowSlotBytes, t.bytes)
+	c := t.params.Mem.CapacityStreamCost((oldSlots+newSlots)*FlowSlotBytes, footprint)
 	if c == 0 {
 		return
 	}
@@ -407,22 +410,33 @@ func (s *flowShard) openLookup(h uint32, k FlowKey) (*flowSlot, int) {
 	}
 }
 
-// openNeedsGrow reports whether one more insert would push the shard
-// past 3/4 load (or it has no slots yet).
-func (s *flowShard) openNeedsGrow() bool {
-	return len(s.slots) == 0 || (s.used+1)*4 > len(s.slots)*3
+// needsGrow reports whether one more insert into a shard with used of
+// slots occupied would push it past 3/4 load (or it has no slots yet).
+func needsGrow(used, slots int) bool {
+	return slots == 0 || (used+1)*4 > slots*3
+}
+
+// grownSlots is the slot count a shard of slots grows to: the first
+// array, then powers of two.
+func grownSlots(slots int) int {
+	if slots == 0 {
+		return flowShardMinSlots
+	}
+	return 2 * slots
 }
 
 // openGrow doubles the slot array (or allocates the first one) and
 // rehashes every resident entry, returning the old and new slot counts
 // for footprint accounting and growth pricing.
 func (s *flowShard) openGrow() (oldSlots, newSlots int) {
-	old := s.slots
-	n := 2 * len(old)
-	if n == 0 {
-		n = flowShardMinSlots
-	}
-	s.slots = make([]flowSlot, n)
+	old := s.regrow(make([]flowSlot, grownSlots(len(s.slots))))
+	return len(old), len(s.slots)
+}
+
+// regrow rehashes every resident entry into slots, which must be empty
+// and larger than the current array, and returns the outgrown array.
+func (s *flowShard) regrow(slots []flowSlot) (old []flowSlot) {
+	old, s.slots = s.slots, slots
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
@@ -431,7 +445,7 @@ func (s *flowShard) openGrow() (oldSlots, newSlots int) {
 			s.openPut(sl)
 		}
 	}
-	return len(old), n
+	return old
 }
 
 // openPut inserts cur (dist 1) robin-hood style, displacing richer
@@ -440,7 +454,7 @@ func (s *flowShard) openGrow() (oldSlots, newSlots int) {
 // takes, so a resident with the same key is met there: openPut then
 // reports dup and has written nothing; past the first displacement the
 // key cannot be resident. The caller must have ensured capacity
-// (openNeedsGrow), so an empty slot is guaranteed within the probe run.
+// (needsGrow), so an empty slot is guaranteed within the probe run.
 func (s *flowShard) openPut(cur flowSlot) (visited int, dup bool) {
 	mask := uint32(len(s.slots) - 1)
 	i := slotIndexHash(cur.hash) & mask
@@ -533,23 +547,23 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 		}
 		s.conns[k] = handle
 		t.bytes += flowMapEntryBytes
-		t.charge(cycles.NonProto, flowMapDemuxLines)
+		t.charge(cycles.NonProto, flowMapDemuxLines, t.bytes)
 	} else {
-		if s.openNeedsGrow() {
+		if needsGrow(s.used, len(s.slots)) {
 			if sl, _ := s.openLookup(h, k); sl != nil {
 				return t.dupErr(k)
 			}
 			oldSlots, newSlots := s.openGrow()
 			t.bytes += uint64(newSlots-oldSlots) * FlowSlotBytes
-			t.chargeGrow(oldSlots, newSlots)
+			t.chargeGrow(oldSlots, newSlots, t.bytes)
 		}
 		probes, dup := s.openPut(flowSlot{hash: h, key: k, dist: 1, ep: handle})
 		if dup {
 			return t.dupErr(k)
 		}
-		t.charge(cycles.NonProto, openProbeLines(probes))
+		t.charge(cycles.NonProto, openProbeLines(probes), t.bytes)
 	}
-	t.reg.retain(handle, ep)
+	t.reg.retain(handle, ep, 1)
 	s.stats.Endpoints++
 	t.count++
 	return nil
@@ -558,6 +572,125 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 func (t *FlowTable) dupErr(k FlowKey) error {
 	return fmt.Errorf("netstack: duplicate registration for %v:%d->%v:%d",
 		k.Src, k.SrcPort, k.Dst, k.DstPort)
+}
+
+// InsertSeq registers ep under key(0), ..., key(n-1) and leaves the table
+// exactly as n Insert calls in index order would: the same slots in the
+// same robin-hood order, the same footprint and charged cycles, the same
+// shard counters and registry. In the open layout it fills one shard at a
+// time, so the shard's slot array stays cache-resident while it fills,
+// instead of scattering n inserts across every shard. That is exact
+// because:
+//
+//   - shards are independent: an insert's probe run, and so its charge,
+//     depends only on the earlier inserts into its own shard, and the
+//     build puts each shard's keys in their original order;
+//   - the one global input, the footprint every insert and growth is
+//     charged at, changes only when some shard grows, so a first pass
+//     over the keys in index order replays just the growth rule to learn
+//     it at every index;
+//   - charges are integer sums, so their order does not matter.
+//
+// Outgrown slot arrays are cleared and reused by the next shard that
+// grows through their size instead of being left to the collector.
+//
+// key must be a pure function of its index; it is called twice per key.
+// The keys must be distinct and absent from the table: a key that is
+// already resident, or repeated in the batch, makes InsertSeq return a
+// duplicate error with the table part-built, and the caller must then
+// discard the table. The map layout and a nil ep take the per-key Insert
+// loop.
+func (t *FlowTable) InsertSeq(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
+	if t.layout == LayoutSeedMap || ep == nil {
+		for i := 0; i < n; i++ {
+			if err := t.Insert(key(i), ep); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if n <= 0 {
+		return nil
+	}
+
+	// Pass 1: shard the keys in index order, count them per shard and
+	// replay the growth rule, recording the footprint after each growth.
+	type growth struct {
+		at        int
+		footprint uint64
+	}
+	var grows []growth
+	footprint := t.bytes
+	shardOf := make([]uint8, n)           // shard counts are at most rss.Buckets
+	start := make([]int, len(t.shards)+1) // shard si's keys: order[start[si]:start[si+1]]
+	used := make([]int, len(t.shards))
+	slots := make([]int, len(t.shards))
+	for si := range t.shards {
+		used[si], slots[si] = t.shards[si].used, len(t.shards[si].slots)
+	}
+	for i := range shardOf {
+		si := rss.ShardOf(hashOf(key(i)), len(t.shards))
+		shardOf[i] = uint8(si)
+		start[si+1]++
+		if needsGrow(used[si], slots[si]) {
+			grown := grownSlots(slots[si])
+			footprint += uint64(grown-slots[si]) * FlowSlotBytes
+			slots[si] = grown
+			grows = append(grows, growth{at: i, footprint: footprint})
+		}
+		used[si]++
+	}
+	for si := range t.shards {
+		start[si+1] += start[si]
+	}
+	order := make([]uint32, n)
+	next := used // reused as each shard's fill cursor
+	copy(next, start)
+	for i, si := range shardOf {
+		order[next[si]] = uint32(i)
+		next[si]++
+	}
+
+	// Pass 2: fill each shard in turn, in its keys' index order, charging
+	// every growth and insert at the footprint pass 1 found for its index.
+	handle := t.reg.handleOf(ep)
+	var spare [bits.UintSize][]flowSlot // outgrown arrays by bit length of their size
+	for si := range t.shards {
+		s := &t.shards[si]
+		fp, g := t.bytes, 0
+		for _, at := range order[start[si]:start[si+1]] {
+			i := int(at)
+			for ; g < len(grows) && grows[g].at <= i; g++ {
+				fp = grows[g].footprint
+			}
+			if needsGrow(s.used, len(s.slots)) {
+				size := grownSlots(len(s.slots))
+				arr := spare[bits.Len(uint(size))]
+				if arr == nil {
+					arr = make([]flowSlot, size)
+				} else {
+					spare[bits.Len(uint(size))] = nil
+					clear(arr)
+				}
+				old := s.regrow(arr)
+				if len(old) > 0 {
+					spare[bits.Len(uint(len(old)))] = old
+				}
+				t.chargeGrow(len(old), size, fp)
+			}
+			k := key(i)
+			probes, dup := s.openPut(flowSlot{hash: hashOf(k), key: k, dist: 1, ep: handle})
+			if dup {
+				return t.dupErr(k)
+			}
+			t.charge(cycles.NonProto, openProbeLines(probes), fp)
+		}
+		s.stats.Endpoints += start[si+1] - start[si]
+	}
+	t.bytes = footprint
+	t.reg.retain(handle, ep, uint32(n))
+	t.count += n
+	return nil
 }
 
 // Has reports whether k is registered, without touching any delivery
@@ -605,13 +738,13 @@ func (t *FlowTable) Remove(k FlowKey) bool {
 		}
 		delete(s.conns, k)
 		t.bytes -= flowMapEntryBytes
-		t.charge(cycles.NonProto, flowMapDemuxLines)
+		t.charge(cycles.NonProto, flowMapDemuxLines, t.bytes)
 	} else {
 		var probes int
 		if ok, handle, probes = s.openRemove(h, k); !ok {
 			return false
 		}
-		t.charge(cycles.NonProto, openProbeLines(probes))
+		t.charge(cycles.NonProto, openProbeLines(probes), t.bytes)
 	}
 	t.reg.release(handle)
 	delete(t.flowOwners, k)
@@ -694,7 +827,7 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 		}
 	}
 	ep, lines := t.find(s, hash, k)
-	t.charge(cycles.Rx, lines)
+	t.charge(cycles.Rx, lines, t.bytes)
 	if ep == nil {
 		s.stats.Misses++
 		return nil
@@ -705,6 +838,45 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 		s.stats.Aggregates++
 	}
 	return ep
+}
+
+// CheckAccounting verifies the table's accounting identities: Len equals
+// the shards' occupied entries, their Endpoints counters and the
+// registry's references, and StructBytes equals the slot arrays'
+// modeled size (open layout) or the entries' (map layout). It only reads
+// state; the error names the identity that fails.
+func (t *FlowTable) CheckAccounting() error {
+	entries, endpoints := 0, 0
+	var slots uint64
+	for i := range t.shards {
+		s := &t.shards[i]
+		if t.layout == LayoutSeedMap {
+			entries += len(s.conns)
+		} else {
+			entries += s.used
+		}
+		endpoints += s.stats.Endpoints
+		slots += uint64(len(s.slots))
+	}
+	var refs uint64
+	for _, r := range t.reg.refs {
+		refs += uint64(r)
+	}
+	switch {
+	case entries != t.count:
+		return fmt.Errorf("netstack: flow-table accounting: Len %d != Σ shard entries %d", t.count, entries)
+	case endpoints != t.count:
+		return fmt.Errorf("netstack: flow-table accounting: Len %d != Σ ShardStats.Endpoints %d", t.count, endpoints)
+	case refs != uint64(t.count):
+		return fmt.Errorf("netstack: flow-table accounting: Len %d != Σ registry refs %d", t.count, refs)
+	case t.layout == LayoutOpenAddressed && t.bytes != slots*FlowSlotBytes:
+		return fmt.Errorf("netstack: flow-table accounting: StructBytes %d != Σ len(slots)·FlowSlotBytes %d",
+			t.bytes, slots*FlowSlotBytes)
+	case t.layout == LayoutSeedMap && t.bytes != uint64(t.count)*flowMapEntryBytes:
+		return fmt.Errorf("netstack: flow-table accounting: StructBytes %d != Len·flowMapEntryBytes %d",
+			t.bytes, uint64(t.count)*flowMapEntryBytes)
+	}
+	return nil
 }
 
 // ShardStatsOf returns a copy of shard i's counters.

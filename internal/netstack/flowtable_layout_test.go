@@ -67,6 +67,22 @@ func (p *layoutPair) insert(i int, ep *tcp.Endpoint) {
 	}
 }
 
+// insertSeq registers ep under keys idx (absent and distinct) through
+// one InsertSeq call on each layout.
+func (p *layoutPair) insertSeq(idx []int, ep *tcp.Endpoint) {
+	p.t.Helper()
+	key := func(j int) FlowKey { return p.keys[idx[j]] }
+	if err := p.open.InsertSeq(len(idx), key, ep); err != nil {
+		p.t.Fatalf("InsertSeq(keys %v) on open: %v", idx, err)
+	}
+	if err := p.seed.InsertSeq(len(idx), key, ep); err != nil {
+		p.t.Fatalf("InsertSeq(keys %v) on map: %v", idx, err)
+	}
+	for _, i := range idx {
+		p.bound[i] = ep
+	}
+}
+
 func (p *layoutPair) remove(i int) {
 	p.t.Helper()
 	r1 := p.open.Remove(p.keys[i])
@@ -93,10 +109,17 @@ func (p *layoutPair) lookup(i, cpu, netPackets int, agg bool) {
 }
 
 // check compares everything observable: length, per-shard occupancy and
-// counters, every key's resolution, and each table's endpoint registry.
+// counters, every key's resolution, and each table's endpoint registry,
+// and requires both tables' accounting identities to hold.
 func (p *layoutPair) check(stage string) {
 	p.t.Helper()
 	open, seed := p.open, p.seed
+	if err := open.CheckAccounting(); err != nil {
+		p.t.Fatalf("%s (open): %v", stage, err)
+	}
+	if err := seed.CheckAccounting(); err != nil {
+		p.t.Fatalf("%s (map): %v", stage, err)
+	}
 	if open.Len() != seed.Len() {
 		p.t.Fatalf("%s: Len diverged: open=%d, map=%d", stage, open.Len(), seed.Len())
 	}
@@ -229,7 +252,9 @@ func TestFlowLayoutDifferential(t *testing.T) {
 // layoutPair, then removes every key: the registries must end empty.
 // Op byte o, argument byte a, key a%40:
 //
-//	o%4 == 0: insert, endpoint (o>>2)%4
+//	o%4 == 0, o < 16: insert, endpoint (o>>2)%4
+//	o%4 == 0, o >= 16: bulk insert through InsertSeq, endpoint (o>>2)%4,
+//	          of the first (o>>4)*3 absent keys from key a upwards (wrapping)
 //	o%4 == 1: insert twice (the second is a duplicate), endpoint (o>>2)%4
 //	o%4 == 2: remove
 //	o%4 == 3: lookup on CPU (o>>2)%4, (o>>4)%4+1 frames, aggregated if o>=128
@@ -252,7 +277,17 @@ func FuzzFlowTableOps(f *testing.F) {
 			o, i := ops[n], int(ops[n+1])%nKeys
 			switch o % 4 {
 			case 0:
-				p.insert(i, eps[(o>>2)%nEps])
+				if o < 16 {
+					p.insert(i, eps[(o>>2)%nEps])
+					break
+				}
+				var run []int
+				for j := 0; j < nKeys && len(run) < int(o>>4)*3; j++ {
+					if k := (i + j) % nKeys; p.bound[k] == nil {
+						run = append(run, k)
+					}
+				}
+				p.insertSeq(run, eps[(o>>2)%nEps])
 			case 1:
 				p.insert(i, eps[(o>>2)%nEps])
 				p.insert(i, eps[(o>>3)%nEps])

@@ -217,6 +217,22 @@ func (s *Stack) Register(ep *tcp.Endpoint, remoteIP, localIP ipv4.Addr, remotePo
 	return nil
 }
 
+// RegisterSeq binds ep under key(0), ..., key(n-1) with the result of n
+// Register calls in index order, built through FlowTable.InsertSeq (see
+// its contract: on a duplicate key the error leaves the stack part-built
+// and the caller must discard it). The memory high-water mark is taken
+// once, at the end: a run of inserts only grows the footprint.
+func (s *Stack) RegisterSeq(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
+	if err := s.table.InsertSeq(n, key, ep); err != nil {
+		return err
+	}
+	if n > 0 {
+		ep.Output = s.output
+		s.noteMem()
+	}
+	return nil
+}
+
 // Unregister removes the endpoint bound to the given key, reporting
 // whether it was registered.
 func (s *Stack) Unregister(remoteIP, localIP ipv4.Addr, remotePort, localPort uint16) bool {

@@ -879,6 +879,10 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	for _, l := range top.links {
 		l.Kick()
 	}
+	// The built demux table must balance before the run starts.
+	if err := machine.FlowTable().CheckAccounting(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	return top, nil
 }
 

@@ -129,7 +129,10 @@ func (g *flowGen) recycle(rec flowRecord) {
 // and footprint matter, and a million per-key endpoints would add nothing
 // but allocation noise. Idle flows are registered directly on the
 // netstack, bypassing the machine's endpoint list, so the per-sweep
-// timer scan stays proportional to the active population.
+// timer scan stays proportional to the active population. They are
+// registered in one Stack.RegisterSeq batch, which builds the table
+// shard by shard with exactly the slots, footprint and charges of n
+// per-key registrations in key order.
 func (g *flowGen) seedIdleFlows(n int) error {
 	m := g.top.machine
 	rcfg := tcp.DefaultConfig()
@@ -139,18 +142,22 @@ func (g *flowGen) seedIdleFlows(n int) error {
 	if err != nil {
 		return err
 	}
-	ns := m.Netstack()
-	localIP := ipv4.Addr{172, 16, 0, 2}
-	for i := 0; i < n; i++ {
-		// 60k ports per remote address, then advance the address.
-		ipIdx := i / 60000
-		remoteIP := ipv4.Addr{172, byte(16 + ipIdx/256), byte(ipIdx % 256), 1}
-		remotePort := uint16(1024 + i%60000)
-		if err := ns.Register(dummy, remoteIP, localIP, remotePort, 8080); err != nil {
-			return fmt.Errorf("sim: seeding idle flow %d: %w", i, err)
-		}
+	if err := m.Netstack().RegisterSeq(n, idleFlowKey, dummy); err != nil {
+		return fmt.Errorf("sim: seeding idle flows: %w", err)
 	}
 	return nil
+}
+
+// idleFlowKey is the i'th idle flow's key: 60k ports per remote address,
+// then the next address, all bound to one local listener.
+func idleFlowKey(i int) netstack.FlowKey {
+	ipIdx := i / 60000
+	return netstack.FlowKey{
+		Src:     ipv4.Addr{172, byte(16 + ipIdx/256), byte(ipIdx % 256), 1},
+		Dst:     ipv4.Addr{172, 16, 0, 2},
+		SrcPort: uint16(1024 + i%60000),
+		DstPort: 8080,
+	}
 }
 
 func (g *flowGen) open(n int, sPort, rPort uint16) error {
